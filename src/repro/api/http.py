@@ -113,10 +113,6 @@ class HttpServer:
             await self._server.wait_closed()
             self._server = None
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "start() first"
-        await self._server.serve_forever()
-
     # ------------------------------------------------------------------
     async def _handle(
         self, reader: "StreamReader", writer: "StreamWriter"

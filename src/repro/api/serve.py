@@ -2,8 +2,11 @@
 
 Builds a dataset graph, spins up a :class:`~repro.shard.ShardManager`
 (worker processes by default), wraps it in the asyncio front door, and
-serves until interrupted.  Drift-driven reconfiguration is armed
-whenever ``--quota`` is given (the workers then build calibrated
+serves until SIGINT or SIGTERM, then stops the front door and the
+fleet.  Both handlers are installed explicitly: a process started with
+SIGINT ignored (as a shell starts a background job) would otherwise
+never see Ctrl-C or ``kill -INT``.  Drift-driven reconfiguration is
+armed whenever ``--quota`` is given (the workers then build calibrated
 QuotaControllers at start).
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 from collections.abc import Sequence
 
@@ -77,6 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def _serve(args: argparse.Namespace) -> int:
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        loop.add_signal_handler(signum, stop.set)
     spec = get_dataset(args.dataset)
     graph = spec.build(seed=args.seed)
     lambda_q = args.lambda_q if args.lambda_q is not None else spec.lambda_q
@@ -116,29 +124,24 @@ async def _serve(args: argparse.Namespace) -> int:
         drift=drift,
     )
     server = HttpServer(frontdoor, args.host, args.port)
-    await server.start()
-    print(
-        f"serving on http://{args.host}:{server.port}  "
-        f"(endpoints: /query /update /reconfigure /healthz /metrics)",
-        flush=True,
-    )
     try:
-        await server.serve_forever()
-    except asyncio.CancelledError:  # pragma: no cover - signal path
-        pass
+        await server.start()
+        print(
+            f"serving on http://{args.host}:{server.port}  "
+            f"(endpoints: /query /update /reconfigure /healthz /metrics)",
+            flush=True,
+        )
+        await stop.wait()
+        print("signal received; stopping", file=sys.stderr, flush=True)
     finally:
         await server.stop()
         manager.stop()
+    print("fleet stopped", file=sys.stderr, flush=True)
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return asyncio.run(_serve(args))
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        print("interrupted; fleet stopped", file=sys.stderr)
-        return 130
+    return asyncio.run(_serve(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -4,14 +4,15 @@ Glues everything together: a base PPR algorithm, the Quota controller
 (optional — omit it to replay the algorithm at its default setting, the
 paper's baselines), the Seed reordering queue (epsilon_r > 0), online
 arrival-rate monitoring with periodic re-optimization, and the
-virtual-time FCFS clock.
+virtual-time FCFS clock of the shared
+:class:`~repro.queueing.scheduler.VirtualTimeScheduler`.
 
 Timing model (the DESIGN.md substitution): the server's virtual clock
 advances by the *measured wall time* of each executed operation —
-query, update, deferred-update flush, and (optionally) reconfiguration
-work such as index rebuilds triggered by a hyperparameter change.
-Response time of a query = (virtual completion) - (virtual arrival),
-matching the paper's R_q.
+query, update, each flushed deferred update, and (optionally)
+reconfiguration work such as index rebuilds triggered by a
+hyperparameter change.  Response time of a query = (virtual
+completion) - (virtual arrival), matching the paper's R_q.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from repro.cache import (
     make_key,
 )
 from repro.core.quota import QuotaController, QuotaDecision
-from repro.core.seed import SeedQueue, UpdateApplier
+from repro.core.seed import PendingUpdate, SeedQueue, UpdateApplier
 from repro.obs import MetricsRegistry, get_metrics
 from repro.ppr.base import DynamicPPRAlgorithm, PPRVector
-from repro.queueing.simulator import CompletedRequest, SimulationResult
-from repro.queueing.workload import QUERY, UPDATE, Request, Workload
+from repro.queueing.scheduler import SimulationResult, VirtualTimeScheduler
+from repro.queueing.workload import QUERY, Request, Workload
 
 if TYPE_CHECKING:  # runtime import stays lazy (serving imports core)
     from repro.serving.runtime import ServingRuntime
@@ -212,12 +213,17 @@ class QuotaSystem:
         self.rate_change_threshold = rate_change_threshold
         self.beta_change_threshold = beta_change_threshold
         self.cache = cache
-        self._staleness = (
-            StalenessTracker(
-                cache, algorithm.graph, algorithm.params.alpha
+        # every apply path charges the cache against the degrees the
+        # update actually saw (not post-flush degrees)
+        self._applier: UpdateApplier = (
+            ChargingApplier(
+                algorithm,
+                StalenessTracker(
+                    cache, algorithm.graph, algorithm.params.alpha
+                ),
             )
             if cache is not None
-            else None
+            else algorithm
         )
         self.metrics = metrics if metrics is not None else get_metrics()
         self.decisions: list[QuotaDecision] = []
@@ -287,177 +293,20 @@ class QuotaSystem:
         seed_queue = SeedQueue(
             self.algorithm.graph, self.algorithm.params.alpha, self.epsilon_r
         )
-        # flush paths go through the charging wrapper so each update is
-        # charged against the degrees it actually saw (not post-batch)
-        applier: UpdateApplier = (
-            ChargingApplier(self.algorithm, self._staleness)
-            if self._staleness is not None
-            else self.algorithm
-        )
-        cache = self.cache
-        completed: list[CompletedRequest] = []
-        server_free = 0.0
         self._last_reoptimize = 0.0
+        return VirtualTimeScheduler(
+            _MeasuredService(self, seed_queue, query_callback),
+            seed_queue=seed_queue,
+            on_arrival=self._on_arrival,
+            metrics=self.metrics,
+        ).run(workload)
 
-        for request in workload:
-            self.rate_estimator.observe(request.kind, request.arrival)
-            if self.drift_detector is not None:
-                self.drift_detector.observe(request.kind, request.arrival)
-            server_free = self._maybe_reoptimize(request.arrival, server_free)
-            # Opportunistically drain deferred updates while the server
-            # idles before this arrival — deferral should steal time
-            # from queries only under contention (Lemma 3's regime).
-            server_free = self._drain_idle(
-                seed_queue, applier, completed, server_free, request.arrival
-            )
-
-            if request.kind == UPDATE:
-                update = request.update
-                assert update is not None  # UPDATE requests carry one
-                if self.epsilon_r > 0.0:
-                    # Seed: defer; the cost is paid at flush time.
-                    seed_queue.add(update, request.arrival)
-                    continue
-                start = max(request.arrival, server_free)
-                elapsed = self._timed(
-                    lambda: applier.apply_update(update)
-                )[1]
-                self.metrics.histogram("service.update").observe(elapsed)
-                finish = start + elapsed
-                completed.append(
-                    CompletedRequest(request, start, finish, elapsed)
-                )
-                server_free = finish
-                continue
-
-            # --- query ---------------------------------------------------
-            source = request.source
-            assert source is not None  # QUERY requests carry one
-            start = max(request.arrival, server_free)
-            key: CacheKey | None = None
-            if cache is not None:
-                key = self._cache_key(source)
-                hit_key = key
-                entry, lookup_elapsed = self._timed(
-                    lambda: cache.lookup(hit_key)
-                )
-                if entry is not None:
-                    # a hit costs only the lookup and skips the Seed
-                    # flush check: epsilon_c already covers every
-                    # applied update, and the deferred ones are
-                    # invisible to a fresh recompute too
-                    self.metrics.histogram("service.query_hit").observe(
-                        lookup_elapsed
-                    )
-                    finish = start + lookup_elapsed
-                    completed.append(
-                        CompletedRequest(
-                            request, start, finish, lookup_elapsed
-                        )
-                    )
-                    server_free = finish
-                    if query_callback is not None:
-                        query_callback(
-                            request,
-                            cast(PPRVector, entry.value),
-                            len(seed_queue),
-                        )
-                    continue
-            if len(seed_queue) and seed_queue.should_flush(source):
-                # the query must wait for the forced flush: the deferred
-                # updates occupy the server first, then the query runs
-                flushed, flush_elapsed = self._timed(
-                    lambda: seed_queue.flush(applier)
-                )
-                self.metrics.histogram("service.flush").observe(flush_elapsed)
-                flush_finish = start + flush_elapsed
-                share = flush_elapsed / max(len(flushed), 1)
-                for item in flushed:
-                    completed.append(
-                        CompletedRequest(
-                            Request(
-                                item.arrival, UPDATE, update=item.update
-                            ),
-                            start,
-                            flush_finish,
-                            share,
-                        )
-                    )
-                start = flush_finish
-            estimate, query_elapsed = self._timed(
-                lambda: self.algorithm.query(source)
-            )
-            self.metrics.histogram("service.query").observe(query_elapsed)
-            if cache is not None and key is not None:
-                cache.insert(
-                    key,
-                    estimate,
-                    self.algorithm.graph.version,
-                    cost_s=query_elapsed,
-                    pi_estimate=estimate.get,
-                )
-            finish = start + query_elapsed
-            completed.append(
-                CompletedRequest(request, start, finish, query_elapsed)
-            )
-            server_free = finish
-            if query_callback is not None:
-                query_callback(request, estimate, len(seed_queue))
-
-        # Drain any still-pending updates after the window closes.
-        if len(seed_queue):
-            drain_from = max(
-                server_free,
-                max(item.arrival for item in seed_queue.pending),
-            )
-            flushed, elapsed = self._timed(
-                lambda: seed_queue.flush(applier)
-            )
-            self.metrics.histogram("service.flush").observe(elapsed)
-            finish = drain_from + elapsed
-            for item in flushed:
-                completed.append(
-                    CompletedRequest(
-                        Request(item.arrival, UPDATE, update=item.update),
-                        drain_from,
-                        finish,
-                        elapsed / max(len(flushed), 1),
-                    )
-                )
-            server_free = finish
-
-        completed.sort(key=lambda c: (c.start, c.arrival))
-        return SimulationResult(completed, workload.t_end)
-
-    # ------------------------------------------------------------------
-    def _drain_idle(
-        self,
-        seed_queue: SeedQueue,
-        applier: UpdateApplier,
-        completed: list[CompletedRequest],
-        server_free: float,
-        until: float,
-    ) -> float:
-        """Apply pending updates one at a time while the server is idle."""
-        while len(seed_queue) and server_free < until:
-            item, elapsed = self._timed(
-                lambda: seed_queue.flush_one(applier)
-            )
-            assert item is not None  # queue was non-empty
-            self.metrics.histogram("service.update").observe(elapsed)
-            # an update cannot start before it arrived
-            start = max(server_free, item.arrival)
-            finish = start + elapsed
-            completed.append(
-                CompletedRequest(
-                    Request(item.arrival, UPDATE, update=item.update),
-                    start,
-                    finish,
-                    elapsed,
-                )
-            )
-            server_free = finish
-        return server_free
+    def _on_arrival(self, request: Request, server_free: float) -> float:
+        """Rate monitoring plus any charged online reconfiguration."""
+        self.rate_estimator.observe(request.kind, request.arrival)
+        if self.drift_detector is not None:
+            self.drift_detector.observe(request.kind, request.arrival)
+        return self._maybe_reoptimize(request.arrival, server_free)
 
     def _maybe_reoptimize(self, now: float, server_free: float) -> float:
         """Online reconfiguration from monitored rates.
@@ -500,7 +349,7 @@ class QuotaSystem:
         self.decisions.append(decision)
         apply_elapsed = 0.0
         if self._beta_moved(current, decision.beta):
-            _, apply_elapsed = self._timed(
+            _, apply_elapsed = _timed(
                 lambda: self.algorithm.set_hyperparameters(**decision.beta)
             )
             self.metrics.histogram("service.reconfigure").observe(apply_elapsed)
@@ -548,9 +397,72 @@ class QuotaSystem:
             VECTOR,
         )
 
-    @staticmethod
-    def _timed(fn: Callable[[], _T]) -> tuple[_T, float]:
-        """(result, elapsed_wall_seconds) of ``fn()``."""
-        started = time.perf_counter()
-        result = fn()
-        return result, time.perf_counter() - started
+
+def _timed(fn: Callable[[], _T]) -> tuple[_T, float]:
+    """(result, elapsed_wall_seconds) of ``fn()``."""
+    started = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - started
+
+
+class _MeasuredService:
+    """The service source of :meth:`QuotaSystem.process`: each
+    operation runs for real and its measured wall time is the virtual
+    service time."""
+
+    __slots__ = ("_system", "_queue", "_callback")
+
+    def __init__(
+        self,
+        system: QuotaSystem,
+        queue: SeedQueue,
+        callback: QueryCallback | None,
+    ) -> None:
+        self._system = system
+        self._queue = queue
+        self._callback = callback
+
+    def _answered(self, request: Request, estimate: PPRVector) -> None:
+        if self._callback is not None:
+            self._callback(request, estimate, len(self._queue))
+
+    def hit(self, request: Request) -> float | None:
+        cache = self._system.cache
+        if cache is None:
+            return None
+        assert request.source is not None  # QUERY requests carry one
+        key = self._system._cache_key(request.source)
+        entry, elapsed = _timed(lambda: cache.lookup(key))
+        if entry is None:
+            return None  # the miss's lookup is not charged
+        self._answered(request, cast(PPRVector, entry.value))
+        return elapsed
+
+    def query(self, request: Request) -> float:
+        source = request.source
+        assert source is not None  # QUERY requests carry one
+        algorithm = self._system.algorithm
+        estimate, elapsed = _timed(lambda: algorithm.query(source))
+        cache = self._system.cache
+        if cache is not None:
+            cache.insert(
+                self._system._cache_key(source),
+                estimate,
+                algorithm.graph.version,
+                cost_s=elapsed,
+                pi_estimate=estimate.get,
+            )
+        self._answered(request, estimate)
+        return elapsed
+
+    def update(self, request: Request) -> float:
+        update = request.update
+        assert update is not None  # UPDATE requests carry one
+        applier = self._system._applier
+        return _timed(lambda: applier.apply_update(update))[1]
+
+    def deferred(self, queue: SeedQueue) -> tuple[PendingUpdate, float]:
+        applier = self._system._applier
+        item, elapsed = _timed(lambda: queue.flush_one(applier))
+        assert item is not None  # caller checked the queue
+        return item, elapsed

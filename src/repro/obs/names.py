@@ -136,10 +136,6 @@ GAUGES = frozenset(
         "serving.queue_depth",
         "cache.size",
         "cache.hit_rate",
-        # online batch auto-tuning (runtime reads the measured
-        # batch-size distribution back through BatchAwareCostModel)
-        "serving.effective_max_batch",
-        "serving.effective_batch_window_s",
         # sharded serving fabric (repro.shard)
         "shard.healthy",
         "shard.inflight",

@@ -243,7 +243,7 @@ class DispatchCostModel:
     ----------
     sigma:
         Shared-work fraction of a batch (the BatchAwareCostModel
-        ``shared_fraction``; calibrate via :meth:`from_batch_model`).
+        ``shared_fraction``).
     resident_bytes:
         Cache budget for the ``2 * n * B * 8``-byte batch state.  The
         default is L2-sized; override per deployment or with
@@ -285,25 +285,6 @@ class DispatchCostModel:
             raise ValueError("min_batch must be >= 2")
         if self.min_resident_rows < 1:
             raise ValueError("min_resident_rows must be >= 1")
-
-    @classmethod
-    def from_batch_model(
-        cls,
-        model: "object",
-        resident_bytes: int | None = None,
-    ) -> "DispatchCostModel":
-        """Calibrate the curves from a live BatchAwareCostModel.
-
-        Reads ``shared_fraction`` (the sigma of the amortization
-        curve); the model's measured ``batch_size()`` distribution
-        stays with the *admission* side (the serving runtime reads it
-        to tune ``max_batch``/``batch_window_s`` online).
-        """
-        sigma = float(getattr(model, "shared_fraction", 0.5))
-        kwargs: dict[str, object] = {"sigma": sigma}
-        if resident_bytes is not None:
-            kwargs["resident_bytes"] = resident_bytes
-        return cls(**kwargs)  # type: ignore[arg-type]
 
     def with_env(self, env: Mapping[str, str]) -> "DispatchCostModel":
         """Apply ``REPRO_DISPATCH_RESIDENT_KB`` if set (and valid)."""

@@ -1,31 +1,13 @@
-"""Event-driven k-server simulator with Seed reordering + idle drain.
+"""Modeled k-server replay with Seed reordering and idle drain.
 
-:class:`~repro.queueing.simulator.FCFSQueueSimulator` replays strict
-FCFS; the measured serving loop
-(:class:`~repro.core.system.QuotaSystem` and the concurrent
-:class:`~repro.serving.ServingRuntime`) additionally defers updates
-through the Seed queue, forces a flush when a query's ordering-error
-budget is exceeded, and drains deferred updates while servers idle.
-:class:`SeedAwareQueueSimulator` models *those* semantics in virtual
-time, for any number of servers, so modeled and measured runs of the
-same workload are directly comparable (the Issue-3 measured-vs-modeled
-contract; see docs/DEVELOPMENT.md).
-
-Semantics
----------
-* **k servers** — each executing request occupies the earliest-free
-  server (min-heap of per-server next-free times, the event queue of
-  the discrete simulation).
-* **Seed reordering** (``epsilon_r > 0``) — updates are deferred into a
-  :class:`~repro.core.seed.SeedQueue` at zero server cost; a query
-  whose Lemma 2 bound exceeds ``epsilon_r`` first pays for a full flush
-  on its server, then runs.
-* **Idle drain** — between arrivals, any server idle before the next
-  arrival applies pending updates one at a time (oldest first).
-* **Modeled time, real structure** — service durations come from the
-  caller's ``service_fn`` (a cost model), but updates *do* mutate the
-  supplied graph so Seed's degree-dependent bookkeeping tracks the
-  true structure, exactly as in a measured run.
+:class:`SeedAwareQueueSimulator` is the modeled front-end of the shared
+:class:`~repro.queueing.scheduler.VirtualTimeScheduler` that also runs
+:class:`~repro.core.system.QuotaSystem`: service durations come from
+the caller's ``service_fn`` (a cost model), while updates *do* mutate
+the supplied graph so Seed's degree-dependent bookkeeping tracks the
+true structure, exactly as in a measured run.  Modeled and measured
+runs of one workload are therefore directly comparable (see
+docs/DEVELOPMENT.md, "One scheduling core").
 
 Single-writer approximation: in the measured runtime, updates and
 flushes serialize through one writer and briefly exclude readers; here
@@ -36,34 +18,17 @@ optimistic under heavy update traffic.
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Callable
-
 from repro.cache.staleness import ReplayCache
 from repro.core.seed import SeedQueue
 from repro.graph.digraph import DynamicGraph
-from repro.graph.updates import EdgeUpdate
-from repro.queueing.simulator import (
-    CompletedRequest,
+from repro.queueing.scheduler import (
+    ApplyFn,
+    ModeledService,
     ServiceFn,
     SimulationResult,
-    validate_service,
+    VirtualTimeScheduler,
 )
-from repro.queueing.workload import UPDATE, Request, Workload
-
-ApplyFn = Callable[[EdgeUpdate], EdgeUpdate]
-
-
-class _GraphApplier:
-    """Minimal :class:`~repro.core.seed.UpdateApplier` over a graph."""
-
-    __slots__ = ("_apply",)
-
-    def __init__(self, apply_fn: ApplyFn) -> None:
-        self._apply = apply_fn
-
-    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
-        return self._apply(update)
+from repro.queueing.workload import Request, Workload
 
 
 class SeedAwareQueueSimulator:
@@ -112,79 +77,17 @@ class SeedAwareQueueSimulator:
     ) -> None:
         if servers < 1:
             raise ValueError("servers must be >= 1")
-        self._service_fn = service_fn
         self._graph = graph
         self._alpha = alpha
         self._epsilon_r = epsilon_r
         self._servers = servers
-        self._cache = cache
-        apply_fn: ApplyFn = (
+        self._source = ModeledService(
+            service_fn,
             apply_update
             if apply_update is not None
-            else lambda update: update.apply(graph)
+            else lambda update: update.apply(graph),
+            cache,
         )
-        if cache is not None:
-            # every apply path (direct, idle drain, forced flush) runs
-            # through this applier, so charging here covers them all —
-            # and charges each update against the degrees it saw
-            base_fn = apply_fn
-
-            def charging_fn(update: EdgeUpdate) -> EdgeUpdate:
-                resolved = base_fn(update)
-                assert cache is not None
-                cache.on_update(resolved)
-                return resolved
-
-            apply_fn = charging_fn
-        self._applier = _GraphApplier(apply_fn)
-
-    # ------------------------------------------------------------------
-    def _service(self, request: Request) -> float:
-        return validate_service(float(self._service_fn(request)), request)
-
-    def _drain_idle(
-        self,
-        seed_queue: SeedQueue,
-        free_at: list[float],
-        completed: list[CompletedRequest],
-        until: float,
-    ) -> None:
-        """Apply pending updates on servers idle before ``until``."""
-        while free_at[0] < until:
-            head = seed_queue.peek()
-            if head is None:
-                break
-            request = Request(head.arrival, UPDATE, update=head.update)
-            service = self._service(request)
-            free = heapq.heappop(free_at)
-            start = max(free, head.arrival)
-            finish = start + service
-            item = seed_queue.flush_one(self._applier)
-            assert item is not None  # queue was non-empty
-            completed.append(CompletedRequest(request, start, finish, service))
-            heapq.heappush(free_at, finish)
-
-    def _flush_all(
-        self,
-        seed_queue: SeedQueue,
-        completed: list[CompletedRequest],
-        start: float,
-    ) -> float:
-        """Charge a full flush sequentially from ``start``; return end."""
-        clock = start
-        while True:
-            head = seed_queue.peek()
-            if head is None:
-                break
-            request = Request(head.arrival, UPDATE, update=head.update)
-            service = self._service(request)
-            item = seed_queue.flush_one(self._applier)
-            assert item is not None
-            completed.append(
-                CompletedRequest(request, clock, clock + service, service)
-            )
-            clock += service
-        return clock
 
     # ------------------------------------------------------------------
     def run(
@@ -193,77 +96,11 @@ class SeedAwareQueueSimulator:
         t_end: float | None = None,
     ) -> SimulationResult:
         """Replay ``workload`` through the modeled Seed-aware servers."""
-        if isinstance(workload, Workload):
-            requests = list(workload.requests)
-            horizon = workload.t_end if t_end is None else t_end
-        else:
-            requests = sorted(workload, key=lambda r: r.arrival)
-            horizon = t_end
-
-        seed_queue = SeedQueue(self._graph, self._alpha, self._epsilon_r)
-        completed: list[CompletedRequest] = []
-        free_at = [0.0] * self._servers
-        heapq.heapify(free_at)
-
-        for request in requests:
-            self._drain_idle(seed_queue, free_at, completed, request.arrival)
-
-            if request.kind == UPDATE:
-                update = request.update
-                assert update is not None  # UPDATE requests carry one
-                if self._epsilon_r > 0.0:
-                    seed_queue.add(update, request.arrival)
-                    continue
-                service = self._service(request)
-                free = heapq.heappop(free_at)
-                start = max(request.arrival, free)
-                finish = start + service
-                self._applier.apply_update(update)
-                completed.append(
-                    CompletedRequest(request, start, finish, service)
-                )
-                heapq.heappush(free_at, finish)
-                continue
-
-            # --- query -----------------------------------------------
-            source = request.source
-            assert source is not None  # QUERY requests carry one
-            free = heapq.heappop(free_at)
-            start = max(request.arrival, free)
-            if self._cache is not None and self._cache.hit(source):
-                # served from cache: no flush check (epsilon_c covers
-                # applied updates; deferred ones are invisible to a
-                # fresh recompute too), only the hit service time
-                service = self._cache.hit_service_s
-                finish = start + service
-                completed.append(
-                    CompletedRequest(request, start, finish, service)
-                )
-                heapq.heappush(free_at, finish)
-                continue
-            if len(seed_queue) and seed_queue.should_flush(source):
-                start = self._flush_all(seed_queue, completed, start)
-            service = self._service(request)
-            if self._cache is not None:
-                self._cache.admit(source, cost_s=service)
-            finish = start + service
-            completed.append(CompletedRequest(request, start, finish, service))
-            heapq.heappush(free_at, finish)
-
-        # Drain any still-pending updates after the window closes.
-        if len(seed_queue):
-            drain_from = max(
-                free_at[0],
-                max(item.arrival for item in seed_queue.pending),
-            )
-            self._flush_all(seed_queue, completed, drain_from)
-
-        completed.sort(key=lambda c: (c.start, c.arrival))
-        if horizon is None:
-            last_arrival = requests[-1].arrival if requests else 0.0
-            last_finish = max((c.finish for c in completed), default=0.0)
-            horizon = max(last_arrival, last_finish)
-        return SimulationResult(completed, horizon)
+        return VirtualTimeScheduler(
+            self._source,
+            servers=self._servers,
+            seed_queue=SeedQueue(self._graph, self._alpha, self._epsilon_r),
+        ).run(workload, t_end)
 
 
 __all__ = ["SeedAwareQueueSimulator"]

@@ -12,21 +12,27 @@ cost), and completion times follow the Lindley recursion
 
 which is exactly the FCFS dynamics of Figure 1.  Response time =
 finish - arrival, the quantity every experiment reports.
+
+:class:`FCFSQueueSimulator` is the no-Seed front-end of the shared
+:class:`~repro.queueing.scheduler.VirtualTimeScheduler`; the result
+types live there and are re-exported here.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import warnings
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
-
-import numpy as np
-from numpy.typing import NDArray
+from collections.abc import Iterable
 
 from repro.cache.staleness import ReplayCache
-from repro.queueing.workload import QUERY, UPDATE, Request, Workload
+from repro.queueing.scheduler import (
+    CompletedRequest,
+    ModeledService,
+    ServiceFn,
+    SimulationResult,
+    VirtualTimeScheduler,
+    validate_service,
+)
+from repro.queueing.workload import Request, Workload
 
 
 class MeasuredParallelWarning(UserWarning):
@@ -40,136 +46,6 @@ class MeasuredParallelWarning(UserWarning):
     or use :class:`repro.serving.ServingRuntime` for genuinely
     concurrent measured execution.
     """
-
-
-@dataclass(frozen=True, slots=True)
-class CompletedRequest:
-    """A request with its simulated timing."""
-
-    request: Request
-    start: float
-    finish: float
-    service: float
-
-    @property
-    def arrival(self) -> float:
-        return self.request.arrival
-
-    @property
-    def kind(self) -> str:
-        return self.request.kind
-
-    @property
-    def waiting_time(self) -> float:
-        return self.start - self.request.arrival
-
-    @property
-    def response_time(self) -> float:
-        return self.finish - self.request.arrival
-
-
-class SimulationResult:
-    """Aggregated outcome of one simulated workload replay."""
-
-    def __init__(self, completed: list[CompletedRequest], t_end: float) -> None:
-        self.completed = completed
-        self.t_end = t_end
-
-    def __len__(self) -> int:
-        return len(self.completed)
-
-    def of_kind(self, kind: str) -> list[CompletedRequest]:
-        return [c for c in self.completed if c.kind == kind]
-
-    def query_response_times(self) -> NDArray[np.float64]:
-        return np.array(
-            [c.response_time for c in self.completed if c.kind == QUERY],
-            dtype=np.float64,
-        )
-
-    def mean_query_response_time(self) -> float:
-        """The paper's headline metric R_q."""
-        times = self.query_response_times()
-        return float(times.mean()) if times.size else 0.0
-
-    def percentile_query_response_time(self, q: float) -> float:
-        """Response-time percentile of the queries.
-
-        ``q`` is on the 0-100 scale (``99`` is the p99, matching
-        ``np.percentile``).  Values in the open interval (0, 1) are
-        rejected: they almost always mean the caller passed a fraction
-        (``0.99``) where a percentage was intended, which would silently
-        return roughly the *minimum* instead of the tail.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"q must be in [0, 100], got {q}")
-        if 0.0 < q < 1.0:
-            raise ValueError(
-                f"q={q} looks like a fraction; percentiles are on the "
-                f"0-100 scale (use {q * 100:g} for the p{q * 100:g})"
-            )
-        times = self.query_response_times()
-        return float(np.percentile(times, q)) if times.size else 0.0
-
-    def mean_service_time(self, kind: str) -> float:
-        services = [c.service for c in self.completed if c.kind == kind]
-        return float(np.mean(services)) if services else 0.0
-
-    def total_busy_time(self) -> float:
-        return float(sum(c.service for c in self.completed))
-
-    @property
-    def horizon(self) -> float:
-        """Virtual-time span the load metrics are normalized by.
-
-        The workload window ``t_end`` extended to the last completion:
-        the server may legitimately stay busy past the arrival window,
-        and dividing busy time by a span shorter than the work it
-        contains would report rho > 1 for an underloaded system.  Both
-        :meth:`utilization` and :meth:`empirical_load` use this same
-        denominator.
-        """
-        if not self.completed:
-            return self.t_end
-        return max(self.t_end, max(c.finish for c in self.completed))
-
-    def utilization(self) -> float:
-        """Fraction of virtual time the server was busy."""
-        if not self.completed:
-            return 0.0
-        horizon = self.horizon
-        return self.total_busy_time() / horizon if horizon > 0 else 0.0
-
-    def empirical_load(self) -> float:
-        """lambda_q t_q + lambda_u t_u estimated from the replay.
-
-        Shares :attr:`horizon` with :meth:`utilization` so the two
-        never disagree about the denominator.
-        """
-        horizon = self.horizon
-        if horizon <= 0:
-            return 0.0
-        return self.total_busy_time() / horizon
-
-
-ServiceFn = Callable[[Request], float]
-
-
-def validate_service(service: float, request: Request) -> float:
-    """Reject negative / NaN / infinite service durations.
-
-    The seed implementation only rejected ``service < 0``; a NaN or
-    inf (a cost model dividing by a zero rate, an uninitialized probe)
-    passed the check and silently poisoned every later finish time and
-    all derived metrics — NaN compares false against everything, so
-    the Lindley recursion never noticed.
-    """
-    if service < 0 or not math.isfinite(service):
-        raise ValueError(
-            f"service_fn returned invalid duration {service!r} "
-            f"for request {request!r}"
-        )
-    return service
 
 
 class FCFSQueueSimulator:
@@ -218,12 +94,11 @@ class FCFSQueueSimulator:
         modeled: bool = False,
         cache: ReplayCache | None = None,
     ) -> None:
-        if servers < 1:
-            raise ValueError("servers must be >= 1")
-        self._service_fn = service_fn
+        self._scheduler = VirtualTimeScheduler(
+            ModeledService(service_fn, cache=cache), servers=servers
+        )
         self._servers = servers
         self._modeled = modeled
-        self._cache = cache
 
     def run(
         self,
@@ -231,17 +106,6 @@ class FCFSQueueSimulator:
         t_end: float | None = None,
     ) -> SimulationResult:
         """Process every request in arrival (FCFS) order."""
-        if isinstance(workload, Workload):
-            requests = workload.requests
-            horizon = workload.t_end if t_end is None else t_end
-        else:
-            requests = sorted(workload, key=lambda r: r.arrival)
-            # resolved below once completions are known: a raw iterable
-            # has no generation window, and using the last *arrival*
-            # alone would under-span the replay (service extends past
-            # it), inflating the load metrics above 1 for an
-            # underloaded system
-            horizon = t_end
         if self._servers > 1 and not self._modeled:
             warnings.warn(
                 "FCFSQueueSimulator with servers > 1 executes service_fn "
@@ -252,35 +116,14 @@ class FCFSQueueSimulator:
                 MeasuredParallelWarning,
                 stacklevel=2,
             )
-        completed: list[CompletedRequest] = []
-        # min-heap of per-server next-free times
-        free_at = [0.0] * self._servers
-        heapq.heapify(free_at)
-        cache = self._cache
-        for request in requests:
-            earliest = heapq.heappop(free_at)
-            start = max(request.arrival, earliest)
-            if (
-                cache is not None
-                and request.kind == QUERY
-                and request.source is not None
-                and cache.hit(request.source)
-            ):
-                service = cache.hit_service_s
-            else:
-                service = validate_service(
-                    float(self._service_fn(request)), request
-                )
-                if cache is not None:
-                    if request.kind == QUERY and request.source is not None:
-                        cache.admit(request.source, cost_s=service)
-                    elif request.kind == UPDATE and request.update is not None:
-                        cache.on_update(request.update)
-            finish = start + service
-            completed.append(CompletedRequest(request, start, finish, service))
-            heapq.heappush(free_at, finish)
-        if horizon is None:
-            last_arrival = requests[-1].arrival if requests else 0.0
-            last_finish = max((c.finish for c in completed), default=0.0)
-            horizon = max(last_arrival, last_finish)
-        return SimulationResult(completed, horizon)
+        return self._scheduler.run(workload, t_end)
+
+
+__all__ = [
+    "CompletedRequest",
+    "FCFSQueueSimulator",
+    "MeasuredParallelWarning",
+    "ServiceFn",
+    "SimulationResult",
+    "validate_service",
+]

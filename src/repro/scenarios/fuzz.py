@@ -10,8 +10,8 @@ replays it through three engines:
 2. :class:`~repro.queueing.seed_simulator.SeedAwareQueueSimulator`
    (modeled, two servers, the scenario's ``epsilon_r``, a
    :class:`~repro.cache.ReplayCache` in front) — plus a quiet
-   ``epsilon_r=0`` single-server run used purely for the FCFS
-   differential;
+   ``epsilon_r=0`` single-server run that, like engine 1, must match
+   the independent :func:`~repro.scenarios.oracles.fcfs_reference`;
 3. the measured :class:`~repro.serving.ServingRuntime` (real threads,
    open-loop paced replay via :meth:`serve_timed`, result cache,
    snapshot-version equivalence oracle) — rotated across the seed axis
@@ -78,6 +78,7 @@ from repro.scenarios.oracles import (
     check_simulation,
     check_staleness_budget,
     check_workload,
+    fcfs_reference,
 )
 from repro.serving.runtime import ServingRuntime
 
@@ -303,11 +304,16 @@ def run_modeled(
         scenario.name, "seed-aware", reference, seed_graph
     )
 
-    # the coincidence contract: epsilon_r=0, k=1, no cache => FCFS
+    # the coincidence contract: epsilon_r=0, k=1, no cache => FCFS,
+    # checked for both front-ends against an independent reference
+    reference = fcfs_reference(workload, service)
     differential = SeedAwareQueueSimulator(
         service, graph.copy(), epsilon_r=0.0, servers=1
     ).run(workload)
-    violations += check_modeled_equivalence(scenario.name, fcfs, differential)
+    for replay in (fcfs, differential):
+        violations += check_modeled_equivalence(
+            scenario.name, reference, replay
+        )
 
     cards = [
         _modeled_card(

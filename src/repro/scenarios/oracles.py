@@ -19,9 +19,10 @@ The oracle set, and why each holds:
   time bounded by ``servers * horizon`` (no simulator may manufacture
   capacity).
 * **modeled differential** — with ``epsilon_r = 0``, one server, no
-  cache, the Seed-aware simulator *is* FCFS: identical per-request
-  timelines (the documented coincidence contract of
-  :class:`~repro.queueing.seed_simulator.SeedAwareQueueSimulator`).
+  cache, the Seed-aware simulator *is* FCFS: its per-request timeline
+  equals :func:`fcfs_reference`, a Lindley recursion written here
+  independently of the shared scheduling core (comparing the FCFS
+  front-end instead would compare the core with itself).
 * **final-graph differential** — edge updates use toggle semantics, so
   replaying the same update sequence through any engine must land on
   the same final edge set as a direct sequential application.
@@ -39,12 +40,13 @@ The oracle set, and why each holds:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.cache.store import PPRCache
 from repro.graph.digraph import DynamicGraph
-from repro.queueing.simulator import SimulationResult
-from repro.queueing.workload import QUERY, UPDATE, Workload
+from repro.queueing.simulator import CompletedRequest, SimulationResult
+from repro.queueing.workload import QUERY, UPDATE, Request, Workload
 from repro.serving.runtime import FAILED, OK, SHED, TIMEOUT, ServingReport
 
 #: slack for comparing virtual timestamps (pure float arithmetic)
@@ -180,12 +182,41 @@ def check_simulation(
     return violations
 
 
+def fcfs_reference(
+    workload: Workload,
+    service_fn: Callable[[Request], float],
+    servers: int = 1,
+) -> SimulationResult:
+    """Strict FCFS on ``servers`` servers, computed from first principles.
+
+    Each request, in arrival order, takes the earliest-free server:
+    ``start = max(arrival, free)``, ``finish = start + service`` — the
+    Lindley recursion for one server.  Deliberately shares no code with
+    the scheduling core it is the reference for.
+    """
+    free = [0.0] * servers
+    completed: list[CompletedRequest] = []
+    for request in workload:
+        server = min(range(servers), key=free.__getitem__)
+        start = max(request.arrival, free[server])
+        service = service_fn(request)
+        free[server] = start + service
+        completed.append(
+            CompletedRequest(request, start, free[server], service)
+        )
+    return SimulationResult(completed, workload.t_end)
+
+
 def check_modeled_equivalence(
     scenario_name: str,
     fcfs: SimulationResult,
     seed_aware: SimulationResult,
 ) -> list[OracleViolation]:
-    """FCFS == Seed-aware at ``epsilon_r = 0``, one server, no cache."""
+    """FCFS == Seed-aware at ``epsilon_r = 0``, one server, no cache.
+
+    ``fcfs`` should be :func:`fcfs_reference`'s timeline, so the check
+    does not compare the scheduling core with itself.
+    """
 
     def bad(detail: str) -> OracleViolation:
         return OracleViolation(
@@ -211,7 +242,7 @@ def check_modeled_equivalence(
         if a[3] != b[3] or any(
             abs(x - y) > TIME_EPS for x, y in zip(a[:3], b[:3])
         ):
-            return [bad(f"completion {i} diverges: FCFS {a} vs Seed {b}")]
+            return [bad(f"completion {i} diverges: {a} vs {b}")]
     return []
 
 
@@ -357,4 +388,5 @@ __all__ = [
     "check_simulation",
     "check_staleness_budget",
     "check_workload",
+    "fcfs_reference",
 ]

@@ -60,15 +60,20 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from repro.cache import VECTOR, CacheKey, PPRCache, StalenessTracker, make_key
-from repro.core.cost_models import BatchAwareCostModel
+from repro.cache import (
+    VECTOR,
+    CacheKey,
+    ChargingApplier,
+    PPRCache,
+    StalenessTracker,
+    make_key,
+)
 from repro.core.quota import QuotaController, QuotaDecision
-from repro.core.seed import SeedQueue
+from repro.core.seed import SeedQueue, UpdateApplier
 from repro.graph.digraph import DynamicGraph
-from repro.graph.updates import EdgeUpdate
 from repro.obs import MetricsRegistry, get_metrics
 from repro.ppr.base import DynamicPPRAlgorithm, PPRVector
 from repro.ppr.csr import csr_view
@@ -119,10 +124,6 @@ class ServedRequest:
         return self.request.kind
 
     @property
-    def waiting_s(self) -> float:
-        return max(self.started_s - self.submitted_s, 0.0)
-
-    @property
     def response_s(self) -> float:
         return max(self.finished_s - self.submitted_s, 0.0)
 
@@ -144,10 +145,6 @@ class ServingReport:
         return [
             r for r in self.records if r.kind == QUERY and r.status == OK
         ]
-
-    def cached_queries(self) -> list[ServedRequest]:
-        """Completed queries answered from the result cache."""
-        return [r for r in self.completed_queries() if r.cached]
 
     def cache_hit_rate(self) -> float:
         """Fraction of completed queries served from cache."""
@@ -227,23 +224,6 @@ class ServingRuntime:
         How long a collecting worker waits for stragglers once the
         admission queue runs empty (0 = only coalesce what is already
         queued).
-    batch_model:
-        Optional :class:`~repro.core.cost_models.BatchAwareCostModel`.
-        When given, the runtime closes the loop the model was built
-        for: after every ``tune_every`` dispatched batches it reads
-        the model's *measured* batch-size distribution
-        (``batch_size()``, typically the ``serving.batch_size``
-        histogram mean) and the dispatcher residency cap, and retunes
-        the live ``max_batch``/``batch_window_s`` — the cap bounds the
-        batch at what stays cache-resident, thin measured batches
-        shrink the window toward 0, and saturated batches widen it
-        (up to ``2 * batch_window_s`` or 2 ms, whichever is larger).
-        The constructor values act as the configured ceiling/seed;
-        the live values are exported on the
-        ``serving.effective_max_batch`` /
-        ``serving.effective_batch_window_s`` gauges.
-    tune_every:
-        Batches between auto-tune evaluations (with ``batch_model``).
     cache:
         Optional :class:`~repro.cache.PPRCache`.  Queries look up
         before computing (a hit skips the read lock and the Seed flush
@@ -256,11 +236,13 @@ class ServingRuntime:
         writer critical section, so a query can never observe a
         mutated graph whose updates the cache was not yet charged for.
     on_complete:
-        Optional callback fired once per :class:`ServedRequest`
-        appended to :attr:`records` — every terminal outcome (ok,
-        shed, timeout, failed) of every submitted request, plus
-        deferred-update applications.  Called *after* the records lock
-        is released, but possibly inside a writer critical section
+        Optional callback fired once per :class:`ServedRequest` — every
+        terminal outcome (ok, shed, timeout, failed) of every submitted
+        request, plus deferred-update applications.  The runtime keeps
+        no record itself (a long-running server would grow without
+        bound); :meth:`serve` / :meth:`serve_timed` collect the records
+        of their own replay.  Called *after* the records lock is
+        released, but possibly inside a writer critical section
         (the deferred-flush path), so it must be fast and must never
         block or take locks that can invert the runtime's order; the
         shard worker (:mod:`repro.shard.worker`) uses it to push
@@ -284,8 +266,6 @@ class ServingRuntime:
         idle_tick_s: float = 0.02,
         max_batch: int = 1,
         batch_window_s: float = 0.0,
-        batch_model: BatchAwareCostModel | None = None,
-        tune_every: int = 16,
         cache: PPRCache | None = None,
         on_complete: Callable[[ServedRequest], None] | None = None,
         metrics: MetricsRegistry | None = None,
@@ -298,8 +278,6 @@ class ServingRuntime:
             raise ValueError("max_batch must be >= 1")
         if batch_window_s < 0:
             raise ValueError("batch_window_s must be >= 0")
-        if tune_every < 1:
-            raise ValueError("tune_every must be >= 1")
         self.algorithm = algorithm
         self.workers = workers
         self.epsilon_r = epsilon_r
@@ -309,35 +287,34 @@ class ServingRuntime:
         self.idle_tick_s = idle_tick_s
         self.max_batch = max_batch
         self.batch_window_s = batch_window_s
-        self.batch_model = batch_model
-        self.tune_every = tune_every
         self.metrics = metrics if metrics is not None else get_metrics()
         # pre-resolved instrument: _fault runs inside writer critical
         # sections, where a registry lookup is off-limits (R11); a
         # resolved counter's inc() is O(1) and allocation-free
         self._fault_counter = self.metrics.counter("serving.faults")
-        # live (auto-tuned) batching knobs; the constructor values are
-        # the configured ceiling/seed (see class docstring)
-        self._effective_max_batch = max_batch
-        self._effective_window_s = batch_window_s
-        self._batches_since_tune = 0  # guarded-by: self._tune_lock
-        self._tune_lock = wrap_mutex(threading.Lock(), "serving.tune")
         self.decisions: list[QuotaDecision] = []
-        self.records: list[ServedRequest] = []  # guarded-by: self._records_lock
+        # the record lists of the serve()/serve_timed() calls in flight
+        self._collectors: list[list[ServedRequest]] = []  # guarded-by: self._records_lock
 
         self._query_fn = query_fn
         self._on_complete = on_complete
         self._cache = cache
-        self._staleness = (
-            StalenessTracker(
-                cache, algorithm.graph, algorithm.params.alpha
+        # the single-writer mutation path; with a cache it charges the
+        # staleness tracker right after each apply, inside the writer
+        # critical section
+        self._applier: UpdateApplier = (
+            ChargingApplier(
+                algorithm,
+                StalenessTracker(
+                    cache, algorithm.graph, algorithm.params.alpha
+                ),
             )
             if cache is not None
-            else None
+            else algorithm
         )
         # stable names feed the lock sanitizer's order graph (no-ops
         # unless REPRO_LOCK_SANITIZER=1); the established global order
-        # is rwlock -> {seed, records, algo, tune, cache}
+        # is rwlock -> {seed, records, algo, cache}
         self._rwlock = RWLock(name="serving.rwlock")
         self._seed_lock = wrap_mutex(threading.Lock(), "serving.seed")
         self._records_lock = wrap_mutex(threading.Lock(), "serving.records")
@@ -353,10 +330,6 @@ class ServingRuntime:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        return bool(self._threads) and not self._stop.is_set()
-
     @property
     def degraded(self) -> bool:
         """True once a fault forced the fallback to strict FCFS."""
@@ -436,48 +409,24 @@ class ServingRuntime:
         )
         return False
 
-    def submit_query(
-        self, source: int, deadline_s: float | None = None
-    ) -> bool:
-        return self.submit(
-            Request(time.perf_counter(), QUERY, source=source), deadline_s
-        )
-
-    def submit_update(self, update: EdgeUpdate) -> bool:
-        return self.submit(Request(time.perf_counter(), UPDATE, update=update))
-
     def drain(self) -> None:
         """Block until every admitted request finished, then flush the
         still-deferred updates."""
         if self._threads:
             self._admission.join()
-        self._flush_deferred(forced=True)
+        self._flush_deferred()
 
     # ------------------------------------------------------------------
     # convenience replay
     # ------------------------------------------------------------------
-    def serve(self, workload: Workload | list[Request]) -> ServingReport:
+    def serve(self, workload: Iterable[Request]) -> ServingReport:
         """Feed ``workload`` through the pool as fast as it admits.
 
         Closed-loop replay (arrival times are ignored): measures the
         saturation throughput and per-request latencies of the real
         execution.  Returns a report over the records this call added.
         """
-        first_record = len(self.records)
-        started = time.perf_counter()
-        for request in workload:
-            self.submit(request)
-        self.drain()
-        wall = time.perf_counter() - started
-        with self._records_lock:
-            records = self.records[first_record:]
-        return ServingReport(
-            records=records,
-            wall_s=wall,
-            workers=self.workers,
-            degraded=self._degraded,
-            decisions=list(self.decisions),
-        )
+        return self._replay(workload)
 
     def serve_timed(
         self,
@@ -507,22 +456,39 @@ class ServingRuntime:
             if isinstance(workload, Workload)
             else sorted(workload, key=lambda r: r.arrival)
         )
-        first_record = len(self.records)
-        started = time.perf_counter()
-        for request in requests:
-            due = started + request.arrival * time_scale
-            while True:
-                remaining = due - time.perf_counter()
-                if remaining <= 0:
-                    break
-                time.sleep(min(remaining, 0.05))
-            self.submit(request)
-            if on_submit is not None:
-                on_submit(request, time.perf_counter() - started)
-        self.drain()
-        wall = time.perf_counter() - started
+        return self._replay(requests, time_scale, on_submit)
+
+    def _replay(
+        self,
+        requests: Iterable[Request],
+        time_scale: float | None = None,
+        on_submit: Callable[[Request, float], None] | None = None,
+    ) -> ServingReport:
+        """Submit ``requests`` (paced when ``time_scale`` is given),
+        drain, and report the records completed meanwhile."""
+        records: list[ServedRequest] = []
         with self._records_lock:
-            records = self.records[first_record:]
+            self._collectors.append(records)
+        try:
+            started = time.perf_counter()
+            for request in requests:
+                if time_scale is not None:
+                    due = started + request.arrival * time_scale
+                    while True:
+                        remaining = due - time.perf_counter()
+                        if remaining <= 0:
+                            break
+                        time.sleep(min(remaining, 0.05))
+                self.submit(request)
+                if on_submit is not None:
+                    on_submit(request, time.perf_counter() - started)
+            self.drain()
+            wall = time.perf_counter() - started
+        finally:
+            with self._records_lock:
+                self._collectors = [
+                    c for c in self._collectors if c is not records
+                ]
         return ServingReport(
             records=records,
             wall_s=wall,
@@ -573,22 +539,13 @@ class ServingRuntime:
     def queue_depth(self) -> int:
         return self._admission.depth
 
-    @property
-    def effective_max_batch(self) -> int:
-        """Live batch cap (auto-tuned when a ``batch_model`` is set)."""
-        return self._effective_max_batch
-
-    @property
-    def effective_batch_window_s(self) -> float:
-        """Live straggler window (auto-tuned with a ``batch_model``)."""
-        return self._effective_window_s
-
     # ------------------------------------------------------------------
     # worker internals
     # ------------------------------------------------------------------
     def _record(self, record: ServedRequest) -> None:
         with self._records_lock:
-            self.records.append(record)
+            for records in self._collectors:
+                records.append(record)
         if self._on_complete is not None:
             try:
                 self._on_complete(record)
@@ -609,11 +566,6 @@ class ServingRuntime:
             self.algorithm.get_hyperparameters(),
             VECTOR,
         )
-
-    def _charge_cache(self, update: EdgeUpdate) -> None:
-        """Charge one applied update (call inside the writer section)."""
-        if self._staleness is not None:
-            self._staleness.observe(update)
 
     def _worker_loop(self, wid: int) -> None:
         while not self._stop.is_set():
@@ -647,15 +599,14 @@ class ServingRuntime:
         this method owns it for every *extra* ticket it pops while
         collecting a batch, including the non-query stopper.
         """
-        if ticket.request.kind != QUERY or self._effective_max_batch <= 1:
-            self._process(ticket, wid)
+        if ticket.request.kind != QUERY:
+            self._process_update(ticket, wid)
             return
-        extras, stopper = self._collect_batch()
+        extras, stopper = (
+            self._collect_batch() if self.max_batch > 1 else ([], None)
+        )
         try:
-            if extras:
-                self._process_query_batch([ticket, *extras], wid)
-            else:
-                self._process(ticket, wid)
+            self._serve_queries([ticket, *extras], wid)
         finally:
             for _ in extras:
                 self._admission.task_done()
@@ -664,7 +615,7 @@ class ServingRuntime:
                 # now preserves FIFO; updates therefore flush *between*
                 # batches, never inside one
                 try:
-                    self._process(stopper, wid)
+                    self._process_update(stopper, wid)
                 finally:
                     self._admission.task_done()
 
@@ -677,8 +628,8 @@ class ServingRuntime:
         """
         extras: list[Ticket] = []
         stopper: Ticket | None = None
-        deadline = time.perf_counter() + self._effective_window_s
-        while len(extras) < self._effective_max_batch - 1:
+        deadline = time.perf_counter() + self.batch_window_s
+        while len(extras) < self.max_batch - 1:
             ticket = self._admission.poll()
             if ticket is None:
                 remaining = deadline - time.perf_counter()
@@ -692,28 +643,6 @@ class ServingRuntime:
             extras.append(ticket)
         return extras, stopper
 
-    def _process(self, ticket: Ticket, wid: int) -> None:
-        request = ticket.request
-        now = time.perf_counter()
-        if request.kind == QUERY and ticket.expired(now):
-            self.metrics.counter("serving.timeout").inc()
-            self._record(
-                ServedRequest(
-                    request,
-                    TIMEOUT,
-                    ticket.submitted_s,
-                    now,
-                    now,
-                    worker=wid,
-                    shed_reason=SHED_DEADLINE,
-                )
-            )
-            return
-        if request.kind == UPDATE:
-            self._process_update(ticket, wid)
-        else:
-            self._process_query(ticket, wid)
-
     # -- updates -------------------------------------------------------
     def _process_update(self, ticket: Ticket, wid: int) -> None:
         update = ticket.request.update
@@ -726,11 +655,10 @@ class ServingRuntime:
         started = time.perf_counter()
         with self._rwlock.write_locked():
             try:
-                resolved = self.algorithm.apply_update(update)
+                self._applier.apply_update(update)
             except Exception as exc:
                 self._fault(ticket.request, ticket.submitted_s, wid, exc)
                 return
-            self._charge_cache(resolved)
             version = self.algorithm.graph.version
             csr_view(self.algorithm.graph)
         finished = time.perf_counter()
@@ -751,126 +679,24 @@ class ServingRuntime:
         )
 
     # -- queries -------------------------------------------------------
-    def _try_cache(self, ticket: Ticket, wid: int) -> bool:
-        """Serve one query from the result cache; False on a miss."""
-        if self._cache is None:
-            return False
-        source = ticket.request.source
-        assert source is not None
-        lookup_started = time.perf_counter()
-        entry = self._cache.lookup(self._cache_key(source))
-        if entry is None:
-            return False
-        finished = time.perf_counter()
-        self.metrics.histogram("serving.wait").observe(
-            lookup_started - ticket.submitted_s
-        )
-        self.metrics.histogram("service.query_hit").observe(
-            finished - lookup_started
-        )
-        self.metrics.histogram("serving.response").observe(
-            finished - ticket.submitted_s
-        )
-        self._record(
-            ServedRequest(
-                ticket.request,
-                OK,
-                ticket.submitted_s,
-                lookup_started,
-                finished,
-                result=entry.value,
-                version=entry.version,
-                worker=wid,
-                cached=True,
-            )
-        )
-        return True
+    def _serve_queries(self, tickets: list[Ticket], wid: int) -> None:
+        """Serve one or more queries on one graph snapshot.
 
-    def _process_query(self, ticket: Ticket, wid: int) -> None:
-        source = ticket.request.source
-        assert source is not None  # QUERY requests carry one
-        if self._try_cache(ticket, wid):
-            return
-        with self._seed_lock:
-            must_flush = len(self._seed_queue) > 0 and (
-                self._seed_queue.should_flush(source)
-            )
-        if must_flush:
-            self._flush_deferred(forced=True, worker=wid)
-
-        started = time.perf_counter()
-        self._rwlock.acquire_read()
-        try:
-            version = self.algorithm.graph.version
-            if self._query_fn is not None:
-                result: object = self._query_fn(self.algorithm.graph, source)
-            else:
-                # default path: algorithm instances keep per-query
-                # scratch state, so serialize (see class docstring)
-                with self._algo_lock:
-                    result = self.algorithm.query(source)
-            if self._cache is not None:
-                # still under the read lock: a writer cannot apply (and
-                # charge) an update between this compute and the insert
-                self._cache.insert(
-                    self._cache_key(source),
-                    result,
-                    version,
-                    cost_s=time.perf_counter() - started,
-                    pi_estimate=(
-                        result.get
-                        if isinstance(result, PPRVector)
-                        else None
-                    ),
-                )
-        except Exception as exc:
-            finished = time.perf_counter()
-            self.metrics.counter("serving.faults").inc()
-            self._record(
-                ServedRequest(
-                    ticket.request,
-                    FAILED,
-                    ticket.submitted_s,
-                    started,
-                    finished,
-                    worker=wid,
-                    error=repr(exc),
-                )
-            )
-            return
-        finally:
-            self._rwlock.release_read()
-        finished = time.perf_counter()
-        self.metrics.histogram("serving.wait").observe(
-            started - ticket.submitted_s
-        )
-        self.metrics.histogram("service.query").observe(finished - started)
-        self.metrics.histogram("serving.response").observe(
-            finished - ticket.submitted_s
-        )
-        self._record(
-            ServedRequest(
-                ticket.request,
-                OK,
-                ticket.submitted_s,
-                started,
-                finished,
-                result=result,
-                version=version,
-                worker=wid,
-            )
-        )
-
-    def _process_query_batch(self, tickets: list[Ticket], wid: int) -> None:
-        """Serve a coalesced batch of queries on one graph snapshot.
-
-        Per-ticket QoS is preserved: expired tickets are timed out and
-        cache hits answered individually before the remainder executes
-        as a single ``query_batch`` call under one read-lock hold.
+        Per-ticket QoS comes first: expired tickets time out, and cache
+        hits are answered individually without the read lock or the
+        Seed flush check (their staleness budget covers every applied
+        update; deferred ones are invisible to a recompute too).  If
+        any remaining source's Lemma 2 bound exceeds the Seed budget,
+        the deferred updates are flushed; the rest then computes under
+        one read-lock hold — ``algorithm.query`` for a single query,
+        ``query_batch`` for several — and is cached under that hold.
         """
         now = time.perf_counter()
         live: list[Ticket] = []
+        sources: list[int] = []
         for ticket in tickets:
+            source = ticket.request.source
+            assert source is not None  # QUERY requests carry one
             if ticket.expired(now):
                 self.metrics.counter("serving.timeout").inc()
                 self._record(
@@ -884,40 +710,77 @@ class ServingRuntime:
                         shed_reason=SHED_DEADLINE,
                     )
                 )
-            elif not self._try_cache(ticket, wid):
+                continue
+            lookup_started = time.perf_counter()
+            entry = (
+                self._cache.lookup(self._cache_key(source))
+                if self._cache is not None
+                else None
+            )
+            if entry is None:
                 live.append(ticket)
+                sources.append(source)
+                continue
+            finished = time.perf_counter()
+            self.metrics.histogram("serving.wait").observe(
+                lookup_started - ticket.submitted_s
+            )
+            self.metrics.histogram("service.query_hit").observe(
+                finished - lookup_started
+            )
+            self.metrics.histogram("serving.response").observe(
+                finished - ticket.submitted_s
+            )
+            self._record(
+                ServedRequest(
+                    ticket.request,
+                    OK,
+                    ticket.submitted_s,
+                    lookup_started,
+                    finished,
+                    result=entry.value,
+                    version=entry.version,
+                    worker=wid,
+                    cached=True,
+                )
+            )
         if not live:
             return
-        sources = [t.request.source for t in live]
-        assert all(s is not None for s in sources)
         with self._seed_lock:
             must_flush = len(self._seed_queue) > 0 and any(
                 self._seed_queue.should_flush(s) for s in sources
             )
         if must_flush:
-            self._flush_deferred(forced=True, worker=wid)
+            self._flush_deferred(wid)
 
         started = time.perf_counter()
         self._rwlock.acquire_read()
         try:
             version = self.algorithm.graph.version
+            results: list[object]
             if self._query_fn is not None:
-                results: list[object] = [
+                results = [
                     self._query_fn(self.algorithm.graph, s) for s in sources
                 ]
             else:
+                # default path: algorithm instances keep per-query
+                # scratch state, so serialize (see class docstring)
                 with self._algo_lock:
-                    results = list(self.algorithm.query_batch(sources))
+                    if len(sources) == 1:
+                        results = [self.algorithm.query(sources[0])]
+                    else:
+                        results = list(self.algorithm.query_batch(sources))
             if self._cache is not None:
-                # still under the read lock (see _process_query); the
-                # batch cost is split evenly across its members
-                per_query_cost = (time.perf_counter() - started) / len(live)
+                # still under the read lock: a writer cannot apply (and
+                # charge) an update between this compute and the
+                # insert; a batch's cost is split evenly
+                cost_s = (time.perf_counter() - started) / len(live)
                 for source, result in zip(sources, results):
                     self._cache.insert(
                         self._cache_key(source),
                         result,
                         version,
-                        cost_s=per_query_cost,
+                        cost_s=cost_s,
                         pi_estimate=(
                             result.get
                             if isinstance(result, PPRVector)
@@ -943,15 +806,17 @@ class ServingRuntime:
         finally:
             self._rwlock.release_read()
         finished = time.perf_counter()
-        self.metrics.counter("serving.batches").inc()
-        self.metrics.counter("serving.batched_queries").inc(len(live))
-        self.metrics.histogram("serving.batch_size").observe(
-            float(len(live))
-        )
-        self._maybe_retune_batching()
-        self.metrics.histogram("service.query_batch").observe(
-            finished - started
-        )
+        if len(live) == 1:
+            self.metrics.histogram("service.query").observe(finished - started)
+        else:
+            self.metrics.counter("serving.batches").inc()
+            self.metrics.counter("serving.batched_queries").inc(len(live))
+            self.metrics.histogram("serving.batch_size").observe(
+                float(len(live))
+            )
+            self.metrics.histogram("service.query_batch").observe(
+                finished - started
+            )
         for ticket, result in zip(live, results):
             self.metrics.histogram("serving.wait").observe(
                 started - ticket.submitted_s
@@ -972,100 +837,48 @@ class ServingRuntime:
                 )
             )
 
-    # -- online batch auto-tuning --------------------------------------
-    def _maybe_retune_batching(self) -> None:
-        """Retune the live batching knobs every ``tune_every`` batches."""
-        if self.batch_model is None:
-            return
-        with self._tune_lock:
-            self._batches_since_tune += 1
-            if self._batches_since_tune < self.tune_every:
-                return
-            self._batches_since_tune = 0
-        self.retune_batching()
-
-    def retune_batching(self) -> tuple[int, float]:
-        """Feed the measured batch-size distribution back into admission.
-
-        Closes the ROADMAP loop: :class:`BatchAwareCostModel` collects
-        the ``serving.batch_size`` distribution but nothing read it
-        back.  The live cap becomes the configured ``max_batch``
-        bounded by the dispatcher's cache-residency cap for the
-        current graph size; the straggler window shrinks by half when
-        measured batches are too thin to amortize anything (mean
-        < 2) and widens by half (bounded by ``2 * batch_window_s`` or
-        2 ms) when batches saturate three quarters of the cap.
-        Returns the new ``(max_batch, window_s)`` pair and exports it
-        on the ``serving.effective_*`` gauges.
-        """
-        model = self.batch_model
-        if model is None:
-            return self._effective_max_batch, self._effective_window_s
-        import os
-
-        from repro.ppr.dispatch import DispatchCostModel
-
-        cost = DispatchCostModel.from_batch_model(model).with_env(os.environ)
-        n = max(self.algorithm.graph.num_nodes, 1)
-        new_max = max(1, min(self.max_batch, cost.resident_cap(n)))
-        measured = model.batch_size()
-        window = self._effective_window_s
-        window_hi = max(2.0 * self.batch_window_s, 0.002)
-        if measured < 2.0:
-            window *= 0.5
-            if window < 1e-5:
-                window = 0.0
-        elif measured >= 0.75 * new_max:
-            window = min(max(window * 1.5, 1e-4), window_hi)
-        self._effective_max_batch = new_max
-        self._effective_window_s = window
-        self.metrics.gauge("serving.effective_max_batch").set(float(new_max))
-        self.metrics.gauge("serving.effective_batch_window_s").set(window)
-        return new_max, window
-
     # -- deferred-update machinery ------------------------------------
-    def _flush_deferred(self, forced: bool, worker: int = -1) -> int:
+    def _apply_deferred(self, worker: int) -> ServedRequest | None:
+        """Apply the oldest deferred update: one step of the writer.
+
+        The caller holds the write lock.  Returns the step's record —
+        OK, or FAILED when the update raised (it is then discarded and
+        the runtime degrades to strict FCFS) — or None when nothing is
+        deferred.
+        """
+        with self._seed_lock:
+            head = self._seed_queue.peek()
+            if head is None:
+                return None
+            request = Request(0.0, UPDATE, update=head.update)
+            started = time.perf_counter()
+            try:
+                self._seed_queue.flush_one(self._applier)
+            except Exception as exc:
+                self._seed_queue.discard_one()
+                return self._fault(request, head.arrival, worker, exc)
+            record = ServedRequest(
+                request,
+                OK,
+                head.arrival,
+                started,
+                time.perf_counter(),
+                version=self.algorithm.graph.version,
+                worker=worker,
+            )
+            self._record(record)
+            return record
+
+    def _flush_deferred(self, worker: int = -1) -> int:
         """Apply every deferred update (the writer role).  Returns the
         number applied.  Faults degrade the runtime to strict FCFS."""
         applied = 0
         flush_started = time.perf_counter()
         with self._rwlock.write_locked():
-            mutated = False
-            while True:
-                with self._seed_lock:
-                    head = self._seed_queue.peek()
-                    if head is None:
-                        break
-                    started = time.perf_counter()
-                    try:
-                        item = self._seed_queue.flush_one(self.algorithm)
-                    except Exception as exc:
-                        failed = self._seed_queue.discard_one()
-                        assert failed is not None
-                        self._fault(
-                            Request(0.0, UPDATE, update=failed.update),
-                            failed.arrival,
-                            worker,
-                            exc,
-                        )
-                        continue
-                    assert item is not None
-                    self._charge_cache(item.update)
-                    finished = time.perf_counter()
-                    mutated = True
+            while (record := self._apply_deferred(worker)) is not None:
+                if record.status == OK:
                     applied += 1
-                    self._record(
-                        ServedRequest(
-                            Request(0.0, UPDATE, update=item.update),
-                            OK,
-                            item.arrival,
-                            started,
-                            finished,
-                            version=self.algorithm.graph.version,
-                            worker=worker,
-                        )
-                    )
-            if mutated:
+            if applied:
                 csr_view(self.algorithm.graph)
         if applied:
             self.metrics.histogram("service.flush").observe(
@@ -1083,47 +896,18 @@ class ServingRuntime:
         # non-blocking: if the writer side is contended, skip this tick
         if not self._rwlock.acquire_write(timeout=0.0):
             return
-        update_elapsed_s: float | None = None
         try:
-            with self._seed_lock:
-                head = self._seed_queue.peek()
-                if head is None:
-                    return
-                started = time.perf_counter()
-                try:
-                    item = self._seed_queue.flush_one(self.algorithm)
-                except Exception as exc:
-                    failed = self._seed_queue.discard_one()
-                    assert failed is not None
-                    self._fault(
-                        Request(0.0, UPDATE, update=failed.update),
-                        failed.arrival,
-                        wid,
-                        exc,
-                    )
-                    return
-                assert item is not None
-                self._charge_cache(item.update)
-                finished = time.perf_counter()
-                update_elapsed_s = finished - started
-                self._record(
-                    ServedRequest(
-                        Request(0.0, UPDATE, update=item.update),
-                        OK,
-                        item.arrival,
-                        started,
-                        finished,
-                        version=self.algorithm.graph.version,
-                        worker=wid,
-                    )
-                )
-            csr_view(self.algorithm.graph)
+            record = self._apply_deferred(wid)
+            if record is not None and record.status == OK:
+                csr_view(self.algorithm.graph)
         finally:
             self._rwlock.release_write()
         # R11: observe outside the write hold (registry lookups extend
         # the critical section for every reader)
-        if update_elapsed_s is not None:
-            self.metrics.histogram("service.update").observe(update_elapsed_s)
+        if record is not None and record.status == OK:
+            self.metrics.histogram("service.update").observe(
+                record.finished_s - record.started_s
+            )
 
     def _fault(
         self,
@@ -1131,7 +915,7 @@ class ServingRuntime:
         submitted_s: float,
         worker: int,
         exc: Exception,
-    ) -> None:
+    ) -> ServedRequest:
         """Record a failed update and degrade to strict FCFS.
 
         Only called inside writer critical sections (the degradation
@@ -1141,14 +925,14 @@ class ServingRuntime:
         now = time.perf_counter()
         self._fault_counter.inc()
         self._degraded = True
-        self._record(
-            ServedRequest(
-                request,
-                FAILED,
-                submitted_s,
-                now,
-                now,
-                worker=worker,
-                error=repr(exc),
-            )
+        record = ServedRequest(
+            request,
+            FAILED,
+            submitted_s,
+            now,
+            now,
+            worker=worker,
+            error=repr(exc),
         )
+        self._record(record)
+        return record

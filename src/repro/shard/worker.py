@@ -42,7 +42,7 @@ from repro.core.quota import QuotaController
 from repro.evaluation.runner import build_algorithm
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, get_metrics
 from repro.ppr.base import PPRVector
 from repro.ppr.power_iteration import ppr_exact
 from repro.queueing.workload import QUERY, UPDATE, Request
@@ -68,6 +68,10 @@ if TYPE_CHECKING:
 #: how long an update retries admission before the shard declares
 #: itself wedged (updates are state — dropping one would diverge)
 UPDATE_ADMIT_TIMEOUT_S = 30.0
+
+#: counters kept in the process-wide registry (CSR store, walk index)
+#: that a shard's metrics snapshot exports next to its own
+PROCESS_COUNTER_PREFIXES = ("csr_", "index.")
 
 
 class SimulatedCrashError(RuntimeError):
@@ -353,8 +357,17 @@ class ShardServer:
         }
 
     def _snapshot(self) -> dict[str, object]:
+        metrics = self.metrics.snapshot()
+        # the CSR store and the walk index count into the process-wide
+        # registry; in a shard process those totals are this shard's
+        # (an in-process fleet shares one set across its shards)
+        metrics["counters"].update(
+            (name, value)
+            for name, value in get_metrics().counters().items()
+            if name.startswith(PROCESS_COUNTER_PREFIXES)
+        )
         payload: dict[str, object] = {
-            "metrics": self.metrics.snapshot(),
+            "metrics": metrics,
             "state": self._health(),
         }
         if self._cache is not None:
@@ -384,9 +397,14 @@ def shard_worker_main(
     The reply pipe is written by exactly one sender thread; the
     command pipe is read by exactly this (main) thread — each
     connection end stays single-threaded, the documented safe usage.
+    SIGINT is ignored: a terminal's Ctrl-C reaches the whole process
+    group, and the fleet's owner stops its shards with a
+    :class:`StopCommand` instead.
     """
     import os
+    import signal
 
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     outbox: "queue.SimpleQueue[ShardReply | None]" = queue.SimpleQueue()
     sender = threading.Thread(
         target=_drain_replies,

@@ -182,6 +182,39 @@ class TestSeedIntegration:
             f"{plain_median:.6f}s on all 3 attempts"
         )
 
+    def test_seed_never_hurts_query_response_modeled(self, graph):
+        """Deterministic twin of the measured Lemma 3 test above, on the
+        shared scheduling core with modeled service times.
+
+        Same fixture graph, workload and Seed budget; updates cost more
+        than queries (FORA+'s index maintenance), so the server is
+        heavily contended (rho ~ 0.93).  Reordering never adds work, so
+        busy time is unchanged, and the query response cannot get worse.
+        """
+        from repro.queueing import SeedAwareQueueSimulator
+
+        workload = generate_workload(graph, 300.0, 1200.0, 2.0, rng=7)
+
+        def service(request):
+            return 3e-4 if request.kind == QUERY else 7e-4
+
+        plain, seeded = (
+            SeedAwareQueueSimulator(
+                service, graph.copy(), epsilon_r=epsilon_r
+            ).run(workload)
+            for epsilon_r in (0.0, 1.0)
+        )
+        assert seeded.total_busy_time() == pytest.approx(
+            plain.total_busy_time(), rel=1e-12
+        )
+        assert seeded.percentile_query_response_time(
+            50
+        ) <= plain.percentile_query_response_time(50)
+        assert (
+            seeded.mean_query_response_time()
+            <= plain.mean_query_response_time()
+        )
+
     def test_epsilon_zero_equals_fcfs(self, graph, params, workload):
         """epsilon_r = 0 must not defer: identical completion order."""
         a = QuotaSystem(Fora(graph.copy(), params))

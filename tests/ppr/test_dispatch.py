@@ -202,13 +202,6 @@ class TestDispatchCostModel:
         assert model.batch_speedup(1) == pytest.approx(1.0)
         assert model.batch_speedup(8) > model.batch_speedup(2) > 1.0
 
-    def test_from_batch_model_reads_shared_fraction(self):
-        class FakeBatchModel:
-            shared_fraction = 0.75
-
-        model = DispatchCostModel.from_batch_model(FakeBatchModel())
-        assert model.sigma == 0.75
-
     def test_env_override_resident_kb(self):
         model = DispatchCostModel().with_env({ENV_RESIDENT_KB: "4"})
         assert model.resident_bytes == 4096

@@ -95,7 +95,8 @@ class TestBatchedPowerPhaseCap:
     The whole-batch SpMM keeps a live ``(n, B)`` float write-set; at
     B = 16 it spills cache and the batch loses to sequential frontier
     runs.  The fix: the dispatcher caps the effective sub-batch size
-    from its cost model (calibrated from ``BatchAwareCostModel``)
+    from its cost model (its ``sigma`` is BatchAwareCostModel's shared
+    fraction)
     instead of honoring the constant ``max_batch`` — and because
     scipy's CSR SpMM accumulates each output column in the same index
     order as the single-vector matvec, the split changes no bits.

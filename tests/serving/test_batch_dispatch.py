@@ -9,7 +9,6 @@ the batch and runs *after* it — exactly its queue position.
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.graph import DynamicGraph, EdgeUpdate
@@ -60,9 +59,11 @@ class TestAdmissionQueuePoll:
 class TestBatchDispatch:
     def test_queries_coalesce_into_batches(self):
         metrics = MetricsRegistry()
+        records = []
         runtime = make_runtime(
             workers=1, queue_capacity=0, metrics=metrics,
             max_batch=8, batch_window_s=0.2,
+            on_complete=records.append,
         )
         with runtime:
             for source in range(12):
@@ -75,8 +76,8 @@ class TestBatchDispatch:
         assert hist.count == counters["serving.batches"]
         assert hist.max <= 8
         assert metrics.histogram("service.query_batch").count >= 1
-        assert all(r.status == OK for r in runtime.records)
-        assert len(runtime.records) == 12
+        assert all(r.status == OK for r in records)
+        assert len(records) == 12
 
     def test_single_query_stays_on_scalar_path(self):
         """A lone query (window expires empty) is served unbatched."""
@@ -110,9 +111,11 @@ class TestBatchDispatch:
         graph = make_graph()
         metrics = MetricsRegistry()
         algorithm = Fora(graph, PPRParams(walk_cap=100))
+        records = []
         runtime = make_runtime(
             algorithm, workers=1, queue_capacity=0, metrics=metrics,
             max_batch=16, batch_window_s=0.2,
+            on_complete=records.append,
         )
         with runtime:
             for source in range(5):
@@ -122,12 +125,12 @@ class TestBatchDispatch:
                 runtime.submit(Request(0.0, QUERY, source=source % 4))
             runtime.drain()
         assert graph.has_edge(1, 3)
-        assert all(r.status == OK for r in runtime.records)
-        query_records = [r for r in runtime.records if r.kind == QUERY]
+        assert all(r.status == OK for r in records)
+        query_records = [r for r in records if r.kind == QUERY]
         assert len(query_records) == 8
         # the pre-update queries ran on the pre-update graph version
         update_record = next(
-            r for r in runtime.records if r.kind == UPDATE
+            r for r in records if r.kind == UPDATE
         )
         assert update_record.version is not None
 
@@ -138,16 +141,18 @@ class TestBatchDispatch:
             calls.append(source)
             return source * 10
 
+        records = []
         runtime = make_runtime(
             workers=1, queue_capacity=0, query_fn=query_fn,
             max_batch=4, batch_window_s=0.2,
+            on_complete=records.append,
         )
         with runtime:
             for source in range(4):
                 runtime.submit(Request(0.0, QUERY, source=source))
             runtime.drain()
         assert sorted(calls) == [0, 1, 2, 3]
-        results = {r.request.source: r.result for r in runtime.records}
+        results = {r.request.source: r.result for r in records}
         assert results == {0: 0, 1: 10, 2: 20, 3: 30}
 
     def test_batched_engine_end_to_end(self):
@@ -156,16 +161,18 @@ class TestBatchDispatch:
         algorithm = Fora(
             make_graph(), PPRParams(walk_cap=100), engine="batched"
         )
+        records = []
         runtime = make_runtime(
             algorithm, workers=1, queue_capacity=0,
             max_batch=8, batch_window_s=0.2,
+            on_complete=records.append,
         )
         with runtime:
             for source in range(8):
                 runtime.submit(Request(0.0, QUERY, source=source % 4))
             runtime.drain()
-        assert all(r.status == OK for r in runtime.records)
-        for record in runtime.records:
+        assert all(r.status == OK for r in records)
+        for record in records:
             mass = sum(record.result.as_dict().values())
             assert mass == pytest.approx(1.0, abs=0.05)
 
@@ -175,15 +182,17 @@ class TestBatchDispatch:
         def explode(graph, source):
             raise RuntimeError("boom")
 
+        records = []
         runtime = make_runtime(
             workers=1, queue_capacity=0, metrics=metrics,
             query_fn=explode, max_batch=8, batch_window_s=0.2,
+            on_complete=records.append,
         )
         with runtime:
             for source in range(4):
                 runtime.submit(Request(0.0, QUERY, source=source % 4))
             runtime.drain()
-        failed = [r for r in runtime.records if r.status == FAILED]
+        failed = [r for r in records if r.status == FAILED]
         assert len(failed) == 4
         assert metrics.snapshot()["counters"]["serving.faults"] >= 4
 
@@ -194,16 +203,18 @@ class TestBatchDispatch:
             time.sleep(0.01)
             return source
 
+        records = []
         runtime = make_runtime(
             workers=1, queue_capacity=0, metrics=metrics,
             query_fn=slow, max_batch=8, batch_window_s=0.05,
             deadline_s=1e-6,
+            on_complete=records.append,
         )
         with runtime:
             for source in range(6):
                 runtime.submit(Request(0.0, QUERY, source=source % 4))
             runtime.drain()
-        statuses = {r.status for r in runtime.records}
+        statuses = {r.status for r in records}
         assert statuses <= {TIMEOUT, OK}
         assert TIMEOUT in statuses
         assert metrics.snapshot()["counters"]["serving.timeout"] >= 1
@@ -227,119 +238,3 @@ class TestBatchDispatch:
                 for node in graph.nodes()
             ]
             assert max(errors) < 0.1
-
-
-class TestBatchAutoTune:
-    """Online feedback: the measured batch-size distribution collected
-    by ``BatchAwareCostModel`` tunes the live admission batching knobs
-    (the ROADMAP carry-over — the distribution used to be collected
-    but never read back)."""
-
-    def make_model(self, batch_size=1.0, batch_size_fn=None, sigma=0.5):
-        from repro.core.cost_models import BatchAwareCostModel, ForaCostModel
-
-        inner = ForaCostModel(
-            n=1000,
-            m=5000,
-            taus={
-                "Forward Push": 1e-6,
-                "Random Walk": 1e-3,
-                "Graph Update": 1e-5,
-            },
-        )
-        return BatchAwareCostModel(
-            inner,
-            shared_fraction=sigma,
-            batch_size=batch_size,
-            batch_size_fn=batch_size_fn,
-        )
-
-    def test_static_knobs_without_model(self):
-        runtime = make_runtime(max_batch=4, batch_window_s=0.002)
-        assert runtime.effective_max_batch == 4
-        assert runtime.effective_batch_window_s == 0.002
-        # retune without a model is a no-op
-        assert runtime.retune_batching() == (4, 0.002)
-
-    def test_residency_cap_bounds_max_batch(self, monkeypatch):
-        from repro.graph import barabasi_albert_graph
-        from repro.ppr.dispatch import ENV_RESIDENT_KB
-
-        big = Fora(
-            barabasi_albert_graph(2000, attach=2, seed=3),
-            PPRParams(walk_cap=100),
-        )
-        runtime = make_runtime(
-            algorithm=big,
-            max_batch=8,
-            batch_model=self.make_model(batch_size=4.0),
-        )
-        monkeypatch.setenv(ENV_RESIDENT_KB, "1")  # fits < 1 batch row
-        new_max, _ = runtime.retune_batching()
-        assert new_max == 1
-        assert runtime.effective_max_batch == 1
-
-    def test_thin_batches_shrink_window_to_zero(self):
-        runtime = make_runtime(
-            max_batch=8,
-            batch_window_s=0.004,
-            batch_model=self.make_model(batch_size=1.0),
-        )
-        for _ in range(12):
-            runtime.retune_batching()
-        assert runtime.effective_batch_window_s == 0.0
-
-    def test_saturated_batches_widen_window_bounded(self):
-        runtime = make_runtime(
-            max_batch=8,
-            batch_window_s=0.001,
-            batch_model=self.make_model(batch_size=8.0),
-        )
-        for _ in range(12):
-            runtime.retune_batching()
-        hi = max(2 * 0.001, 0.002)
-        assert 0.001 <= runtime.effective_batch_window_s <= hi
-
-    def test_gauges_exported(self):
-        metrics = MetricsRegistry()
-        runtime = make_runtime(
-            max_batch=4,
-            batch_model=self.make_model(batch_size=4.0),
-            metrics=metrics,
-        )
-        runtime.retune_batching()
-        gauges = metrics.snapshot()["gauges"]
-        assert gauges["serving.effective_max_batch"]["value"] == 4.0
-        assert "serving.effective_batch_window_s" in gauges
-
-    def test_measured_distribution_closes_the_loop(self):
-        """End to end: batches dispatched by the runtime feed the
-        ``serving.batch_size`` histogram, the model reads its mean,
-        and the retune (every ``tune_every`` batches) adjusts the
-        live knobs from that measurement."""
-        metrics = MetricsRegistry()
-        model = self.make_model(
-            batch_size_fn=lambda: metrics.histogram(
-                "serving.batch_size"
-            ).mean()
-        )
-        runtime = make_runtime(
-            workers=1,
-            max_batch=4,
-            batch_window_s=0.005,
-            batch_model=model,
-            tune_every=1,
-            metrics=metrics,
-        )
-        with runtime:
-            for source in range(8):
-                runtime.submit(Request(0.0, QUERY, source=source % 4))
-            runtime.drain()
-        assert metrics.snapshot()["counters"]["serving.batches"] >= 1
-        assert model.batch_size() >= 1.0
-        gauges = metrics.snapshot()["gauges"]
-        assert "serving.effective_max_batch" in gauges
-
-    def test_tune_every_validation(self):
-        with pytest.raises(ValueError, match="tune_every"):
-            make_runtime(tune_every=0)

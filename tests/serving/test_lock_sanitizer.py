@@ -204,12 +204,13 @@ class TestRuntimeIntegration:
         """A full query/update workload under the sanitizer is clean.
 
         This is the dynamic witness for the static self-check: the
-        runtime's rwlock -> {seed, records, tune, cache} order and its
+        runtime's rwlock -> {seed, records, cache} order and its
         no-upgrade discipline hold under real interleavings.
         """
         rng = random.Random(0xC0FFEE)
         graph = make_graph(rng)
         metrics = MetricsRegistry()
+        records = []
         runtime = ServingRuntime(
             Fora(graph, PPRParams(walk_cap=100)),
             workers=3,
@@ -218,6 +219,7 @@ class TestRuntimeIntegration:
             metrics=metrics,
             drain_idle=True,
             idle_tick_s=0.002,
+            on_complete=records.append,
         )
         # the runtime's locks must actually be tracked
         assert runtime._rwlock._sanitizer is global_sanitizer
@@ -239,7 +241,7 @@ class TestRuntimeIntegration:
         finally:
             runtime.stop()
         assert global_sanitizer.violations == []
-        served = [r for r in runtime.records if r.status == OK]
+        served = [r for r in records if r.status == OK]
         assert len(served) >= 100  # the workload really ran
         acquired = global_sanitizer._metrics.counter("locks.acquired")
         assert acquired.value > 0  # and the sanitizer really watched

@@ -1,5 +1,6 @@
 """Tests for the concurrent serving runtime and its building blocks."""
 
+import gc
 import threading
 import time
 
@@ -18,6 +19,7 @@ from repro.serving import (
     TIMEOUT,
     AdmissionQueue,
     RWLock,
+    ServedRequest,
     ServingRuntime,
     Ticket,
 )
@@ -168,7 +170,8 @@ class TestServingRuntime:
             runtime.stop()
 
     def test_sheds_on_full_queue(self):
-        runtime = make_runtime(workers=1, queue_capacity=1)
+        records = []
+        runtime = make_runtime(workers=1, queue_capacity=1, on_complete=records.append)
         with runtime:
             results = [
                 runtime.submit(Request(0.0, QUERY, source=0))
@@ -176,21 +179,23 @@ class TestServingRuntime:
             ]
             runtime.drain()
         assert not all(results)
-        shed = [r for r in runtime.records if r.status == SHED]
+        shed = [r for r in records if r.status == SHED]
         assert shed and all(r.shed_reason == SHED_QUEUE_FULL for r in shed)
 
     def test_deadline_timeout(self):
         metrics = MetricsRegistry()
         slow = lambda graph, source: time.sleep(0.05)  # noqa: E731
+        records = []
         runtime = make_runtime(
             workers=1, queue_capacity=0, deadline_s=0.01,
             query_fn=slow, metrics=metrics,
+            on_complete=records.append,
         )
         with runtime:
             for _ in range(8):
                 runtime.submit(Request(0.0, QUERY, source=0))
             runtime.drain()
-        statuses = {r.status for r in runtime.records}
+        statuses = {r.status for r in records}
         assert TIMEOUT in statuses
         assert metrics.snapshot()["counters"]["serving.timeout"] >= 1
 
@@ -198,9 +203,11 @@ class TestServingRuntime:
         """Updates defer through the Seed queue and are all applied by
         the time drain() returns."""
         graph = make_graph()
+        records = []
         runtime = make_runtime(
             make_algorithm(graph), workers=2, epsilon_r=100.0,
             queue_capacity=0,
+            on_complete=records.append,
         )
         with runtime:
             runtime.submit(Request(0.0, UPDATE, update=EdgeUpdate(0, 9)))
@@ -210,7 +217,7 @@ class TestServingRuntime:
         assert runtime.pending_updates == 0
         assert graph.has_edge(0, 9) and graph.has_edge(9, 5)
         applied = [
-            r for r in runtime.records
+            r for r in records
             if r.kind == UPDATE and r.status == OK
         ]
         assert len(applied) == 2
@@ -230,9 +237,11 @@ class TestServingRuntime:
 
         algorithm.apply_update = flaky
         metrics = MetricsRegistry()
+        records = []
         runtime = make_runtime(
             algorithm, workers=2, epsilon_r=100.0, queue_capacity=0,
             metrics=metrics,
+            on_complete=records.append,
         )
         updates = [EdgeUpdate(0, 9), EdgeUpdate(9, 5), EdgeUpdate(5, 4)]
         with runtime:
@@ -241,12 +250,12 @@ class TestServingRuntime:
             runtime.submit(Request(0.0, QUERY, source=0))
             runtime.drain()
         assert runtime.degraded
-        failed = [r for r in runtime.records if r.status == FAILED]
+        failed = [r for r in records if r.status == FAILED]
         assert len(failed) == 1 and "injected" in failed[0].error
         assert metrics.snapshot()["counters"]["serving.faults"] == 1
         # the two surviving updates were applied despite the fault
         ok_updates = [
-            r for r in runtime.records
+            r for r in records
             if r.kind == UPDATE and r.status == OK
         ]
         assert len(ok_updates) == 2
@@ -254,15 +263,49 @@ class TestServingRuntime:
 
     def test_query_results_returned(self):
         seen = []
+        records = []
         runtime = make_runtime(
             workers=1, queue_capacity=0,
             query_fn=lambda graph, source: ("answer", source),
+            on_complete=records.append,
         )
         with runtime:
             runtime.submit(Request(0.0, QUERY, source=3))
             runtime.drain()
-        seen = [r.result for r in runtime.records if r.status == OK]
+        seen = [r.result for r in records if r.status == OK]
         assert seen == [("answer", 3)]
+
+    def test_runtime_retains_no_records(self):
+        """Long uptime keeps memory bounded: a runtime driven through
+        submit + on_complete holds none of its records (each pins a
+        dense result vector) once they were handed out."""
+        requests = [
+            Request(0.0, UPDATE, update=EdgeUpdate(0, 9))
+            if i % 5 == 0
+            else Request(0.0, QUERY, source=i % 4)
+            for i in range(500)
+        ]
+        statuses = []
+        runtime = make_runtime(
+            workers=2, epsilon_r=100.0, queue_capacity=0,
+            on_complete=lambda record: statuses.append(record.status),
+        )
+        with runtime:
+            for request in requests:
+                runtime.submit(request)
+            runtime.drain()
+        assert statuses == [OK] * 500
+        gc.collect()
+        # a deferred update completes under a fresh Request that
+        # carries the submitted EdgeUpdate object
+        ours = {id(request) for request in requests}
+        ours |= {id(request.update) for request in requests if request.update}
+        retained = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, ServedRequest)
+            and (id(obj.request) in ours or id(obj.request.update) in ours)
+        ]
+        assert retained == []
 
     def test_stop_flushes_pending(self):
         graph = make_graph()

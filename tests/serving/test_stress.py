@@ -139,6 +139,7 @@ def test_concurrent_producers(dummy=None):
     rng = random.Random(7)
     graph = make_graph(rng)
     initial = graph.copy()
+    records = []
     runtime = ServingRuntime(
         Fora(graph, PPRParams(walk_cap=100)),
         workers=3,
@@ -147,6 +148,7 @@ def test_concurrent_producers(dummy=None):
         query_fn=exact_query_fn,
         idle_tick_s=0.002,
         metrics=MetricsRegistry(),
+        on_complete=records.append,
     )
     chunks = [make_workload(graph, random.Random(100 + i), 20, 10)
               for i in range(4)]
@@ -163,8 +165,8 @@ def test_concurrent_producers(dummy=None):
             t.join()
         runtime.drain()
     total = sum(len(c) for c in chunks)
-    assert len(runtime.records) == total
-    violations = check_oracle(initial, graph, runtime.records)
+    assert len(records) == total
+    violations = check_oracle(initial, graph, records)
     assert violations == []
 
 

@@ -165,6 +165,21 @@ def test_metrics_snapshot_aggregates_workers():
             assert payload["state"]["applied_broadcasts"] == 1
 
 
+def test_metrics_snapshot_exports_process_counters():
+    """The CSR store and walk index count into the process-wide
+    registry; each shard's snapshot exports them next to its own."""
+    with make_manager(num_shards=1) as manager:
+
+        def delta_applies():
+            shard = manager.metrics_snapshot()["shards"]["0"]
+            return shard["metrics"]["counters"].get("csr_delta_applies")
+
+        before = delta_applies()
+        assert before is not None
+        manager.update(0, 7)
+        assert wait_until(lambda: delta_applies() > before)
+
+
 def test_stop_is_terminal():
     manager = make_manager(num_shards=1)
     manager.stop()
