@@ -30,16 +30,13 @@ from repro.analysis.engine import (
     LintModule,
     ProjectRule,
     Rule,
-    apply_baseline,
     exit_code,
     format_findings,
     known_rule_ids,
-    load_baseline,
     register,
     register_project,
     run_paths,
     run_source,
-    write_baseline,
 )
 
 __all__ = [
@@ -50,14 +47,11 @@ __all__ = [
     "ProjectRule",
     "RULES",
     "Rule",
-    "apply_baseline",
     "exit_code",
     "format_findings",
     "known_rule_ids",
-    "load_baseline",
     "register",
     "register_project",
     "run_paths",
     "run_source",
-    "write_baseline",
 ]

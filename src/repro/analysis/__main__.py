@@ -1,7 +1,7 @@
 """Command line for reprolint: ``python -m repro.analysis [paths...]``.
 
 Exit codes: 0 clean (or warnings only), 1 error-severity findings,
-2 unreadable/unparsable input, broken baseline, or usage error.
+2 unreadable/unparsable input or usage error.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ from repro.analysis.engine import (
     PROJECT_RULES,
     RULES,
     LintConfig,
-    apply_baseline,
     exit_code,
     format_findings,
-    load_baseline,
     run_paths,
-    write_baseline,
 )
 
 # importing the package populates both rule registries
@@ -49,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format",
     )
@@ -75,16 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="lint per-file rules in N worker processes "
         "(the project-wide pass stays in-process)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="report only findings not present in this baseline snapshot",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="snapshot the current findings to FILE and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -129,22 +116,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         restrict_scopes=not args.no_scope,
     )
     findings, errors = run_paths(args.paths, config, jobs=args.jobs)
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(
-            f"reprolint: wrote baseline with {len(findings)} finding(s) "
-            f"to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-    suppressed = 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        findings, suppressed = apply_baseline(findings, baseline)
     output = format_findings(findings, args.format)
     if output:
         print(output)
@@ -153,11 +124,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     status = exit_code(findings, errors)
     if args.format == "text":
         noun = "finding" if len(findings) == 1 else "findings"
-        extras = ""
-        if suppressed:
-            extras += f", {suppressed} baselined"
-        if errors:
-            extras += f", {len(errors)} unparsable file(s)"
+        extras = f", {len(errors)} unparsable file(s)" if errors else ""
         print(
             f"reprolint: {len(findings)} {noun}{extras}",
             file=sys.stderr,

@@ -36,14 +36,6 @@ given, comma-separated; free text after the ids is ignored so the
 justification can share the comment.  A suppression naming an unknown
 rule id is reported as a warning (``R0``) instead of silently doing
 nothing — a typo'd id must not read as a working allowlist entry.
-
-Baselines
----------
-:func:`write_baseline` snapshots the current findings;
-:func:`apply_baseline` filters a later run down to *new* findings
-only.  Fingerprints deliberately exclude line numbers (they drift on
-every unrelated edit): a finding matches the baseline when the same
-``(rule, file, message)`` triple was snapshotted, with multiplicity.
 """
 
 from __future__ import annotations
@@ -54,7 +46,6 @@ import io
 import json
 import re
 import tokenize
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
@@ -469,162 +460,14 @@ def _run_project_rules(
 # ----------------------------------------------------------------------
 # Reporting
 # ----------------------------------------------------------------------
-def _rule_metadata(rule_id: str) -> tuple[str, str]:
-    """(short name, rationale) for a rule id, both families."""
-    cls: type[Rule] | type[ProjectRule] | None = RULES.get(
-        rule_id
-    ) or PROJECT_RULES.get(rule_id)
-    if cls is None:
-        return "suppression-hygiene", "unknown rule id in a suppression"
-    return cls.name, cls.rationale
-
-
-def format_sarif(findings: Iterable[Finding]) -> str:
-    """Render findings as a SARIF 2.1.0 log (one run, tool=reprolint).
-
-    The minimal profile GitHub code scanning and most SARIF viewers
-    consume: rule metadata on the driver, one result per finding with
-    a physical location (1-based line/column).
-    """
-    items = list(findings)
-    rules = []
-    for rule_id in sorted({f.rule_id for f in items}):
-        name, rationale = _rule_metadata(rule_id)
-        rules.append(
-            {
-                "id": rule_id,
-                "name": name,
-                "shortDescription": {"text": name},
-                "fullDescription": {"text": rationale},
-            }
-        )
-    results = [
-        {
-            "ruleId": f.rule_id,
-            "level": "error" if f.severity == "error" else "warning",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": Path(f.path).as_posix(),
-                        },
-                        "region": {
-                            "startLine": f.line,
-                            "startColumn": f.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for f in items
-    ]
-    log = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "informationUri": (
-                            "docs/DEVELOPMENT.md#the-rules"
-                        ),
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(log, indent=2)
-
-
 def format_findings(
     findings: Iterable[Finding], output_format: str = "text"
 ) -> str:
-    """Render findings as text lines, a JSON array, or a SARIF log."""
+    """Render findings as text lines or a JSON array."""
     items = list(findings)
     if output_format == "json":
         return json.dumps([f.as_dict() for f in items], indent=2)
-    if output_format == "sarif":
-        return format_sarif(items)
     return "\n".join(f.format_text() for f in items)
-
-
-# ----------------------------------------------------------------------
-# Baselines
-# ----------------------------------------------------------------------
-def finding_fingerprint(finding: Finding) -> tuple[str, str, str]:
-    """Stable identity of a finding across unrelated edits.
-
-    Line/column are excluded on purpose: they drift whenever code above
-    the finding moves.  Identical triples are matched by multiplicity
-    (a file with two baselined copies of the same message tolerates
-    two, not unlimited).
-    """
-    return (finding.rule_id, Path(finding.path).as_posix(), finding.message)
-
-
-def write_baseline(path: str | Path, findings: Sequence[Finding]) -> None:
-    """Snapshot ``findings`` so a later run can report only new ones."""
-    payload = {
-        "version": 1,
-        "findings": [
-            {
-                "rule_id": f.rule_id,
-                "path": Path(f.path).as_posix(),
-                "message": f.message,
-            }
-            for f in sorted(findings, key=finding_fingerprint)
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
-def load_baseline(path: str | Path) -> Counter[tuple[str, str, str]]:
-    """Load fingerprint multiplicities from a baseline file.
-
-    Raises ``ValueError`` on an unreadable or malformed file — a
-    broken baseline must fail loudly, not silently un-suppress (or
-    worse, suppress) everything.
-    """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"baseline {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "findings" not in payload:
-        raise ValueError(f"baseline {path}: missing 'findings' key")
-    counts: Counter[tuple[str, str, str]] = Counter()
-    for item in payload["findings"]:
-        try:
-            counts[(item["rule_id"], item["path"], item["message"])] += 1
-        except (TypeError, KeyError) as exc:
-            raise ValueError(
-                f"baseline {path}: malformed entry {item!r}"
-            ) from exc
-    return counts
-
-
-def apply_baseline(
-    findings: Sequence[Finding],
-    baseline: Counter[tuple[str, str, str]],
-) -> tuple[list[Finding], int]:
-    """Split findings into (new, suppressed-count) against a baseline."""
-    remaining = Counter(baseline)
-    new: list[Finding] = []
-    suppressed = 0
-    for finding in findings:
-        key = finding_fingerprint(finding)
-        if remaining[key] > 0:
-            remaining[key] -= 1
-            suppressed += 1
-        else:
-            new.append(finding)
-    return new, suppressed
 
 
 def exit_code(findings: Sequence[Finding], errors: Sequence[str]) -> int:

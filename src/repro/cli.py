@@ -56,7 +56,7 @@ from repro.evaluation.datasets import DATASETS, get_dataset
 from repro.evaluation.metrics import ResponseTimeSummary, improvement_percent
 from repro.evaluation.report import format_table
 from repro.evaluation.runner import build_algorithm
-from repro.ppr import ALGORITHMS, ENGINE_CHOICES
+from repro.ppr import ALGORITHMS, ENGINES
 from repro.queueing.trace_io import load_workload_trace, save_workload_trace
 from repro.queueing.workload import QUERY, UPDATE, generate_workload
 
@@ -111,12 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--window", type=float, default=None)
     run.add_argument(
         "--engine",
-        default="auto",
-        choices=ENGINE_CHOICES,
-        help="push-kernel engine (auto routes per call through the "
-        "cost-model dispatcher; scalar is the oracle path; frontier/"
-        "batched force the vectorized kernels where the algorithm "
-        "supports them)",
+        default="frontier",
+        choices=ENGINES,
+        help="push-kernel engine (frontier: the vectorized kernels "
+        "where the algorithm has them; scalar: the deque oracle path)",
     )
     run.add_argument(
         "--quota", action="store_true",

@@ -74,18 +74,17 @@ def build_algorithm(
     graph: DynamicGraph,
     walk_cap: int,
     seed: int = 0,
-    engine: str = "scalar",
+    engine: str = "frontier",
 ) -> DynamicPPRAlgorithm:
     """Instantiate a registered algorithm with standard paper params.
 
     ``engine`` selects the push-kernel implementation (see
     ``repro.ppr.kernels.ENGINES``); algorithms without a vectorized
-    path reject anything but ``"scalar"``.
+    path run ``"scalar"`` under either name.
     """
     params = PPRParams(alpha=0.2, epsilon=0.5, walk_cap=walk_cap)
     algorithm = ALGORITHMS[name](graph, params)
-    if engine != "scalar":
-        algorithm.set_engine(engine)
+    algorithm.set_engine(engine)
     algorithm.seed(seed)
     return algorithm
 

@@ -27,10 +27,6 @@ Naming conventions
   (capacity / staleness budget / TTL), admission rejections, bulk
   invalidations, plus the live size and online hit-rate gauges the
   cache-aware cost model reads.
-* ``dispatch.*``    — kernel-dispatcher routing accounting
-  (:mod:`repro.ppr.dispatch`): decision/override/fallback/split
-  counters plus the effective-sub-batch-size histogram (a count per
-  decision, not seconds).
 * ``locks.*``       — runtime lock-order sanitizer accounting
   (:mod:`repro.serving.rwlock`, enabled by ``REPRO_LOCK_SANITIZER=1``):
   tracked acquisitions and detected discipline violations.
@@ -78,10 +74,6 @@ COUNTERS = frozenset(
         "cache.evictions_staleness",
         "cache.evictions_ttl",
         "cache.invalidations",
-        "dispatch.decisions",
-        "dispatch.overrides",
-        "dispatch.fallbacks",
-        "dispatch.splits",
         # lock sanitizer (REPRO_LOCK_SANITIZER=1; repro.serving.rwlock)
         "locks.acquired",
         "locks.violations",
@@ -121,8 +113,6 @@ HISTOGRAMS = frozenset(
         "service.query_batch",
         # batch sizes (a count per dispatched batch, not seconds)
         "serving.batch_size",
-        # routed sub-batch sizes (a count per routing decision)
-        "dispatch.effective_batch",
         # manager-side shard round-trip (submit -> reply, seconds)
         "shard.roundtrip",
         # front-door end-to-end response times (seconds)

@@ -33,23 +33,15 @@ from repro.ppr.base import (
     SubProcessTimers,
 )
 from repro.ppr.csr import CSRView, csr_view
-from repro.ppr.dispatch import (
-    ENGINE_CHOICES,
-    BackendSpec,
-    DispatchCostModel,
-    KernelDispatcher,
-    RoutingDecision,
-    get_dispatcher,
-    register_backend,
-    set_dispatcher,
-)
 from repro.ppr.fora import Fora, ForaPlus, ForaPlusIncremental
 from repro.ppr.forward_push import PushResult, forward_push
 from repro.ppr.kernels import (
     ENGINES,
     BatchPushResult,
     batched_frontier_push,
+    chunked_batch_push,
     frontier_push,
+    push_batch_size,
     reference_frontier_push,
     resolve_engine,
 )
@@ -76,19 +68,13 @@ ALGORITHMS = {
 __all__ = [
     "ALGORITHMS",
     "ENGINES",
-    "ENGINE_CHOICES",
     "Agenda",
-    "BackendSpec",
     "BatchPushResult",
     "CSRView",
-    "DispatchCostModel",
-    "KernelDispatcher",
-    "RoutingDecision",
-    "get_dispatcher",
-    "register_backend",
-    "set_dispatcher",
     "batched_frontier_push",
+    "chunked_batch_push",
     "frontier_push",
+    "push_batch_size",
     "reference_frontier_push",
     "resolve_engine",
     "DynamicPPRAlgorithm",

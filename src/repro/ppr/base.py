@@ -25,6 +25,7 @@ import numpy as np
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.ppr.csr import CSRView, csr_view
+from repro.ppr.kernels import resolve_engine
 
 # Default cap on the walk-count parameter K.  The paper's theoretical K
 # with delta = p_f = 1/n is Theta(n log n), far beyond what pure Python
@@ -269,24 +270,14 @@ class DynamicPPRAlgorithm(ABC):
     def set_engine(self, engine: str) -> None:
         """Select the push-kernel engine for this algorithm instance.
 
-        ``engine`` must be ``"auto"`` or a valid kernel name this
-        algorithm supports (:attr:`supported_engines`).  ``"auto"``
-        hands each call to the :mod:`repro.ppr.dispatch` cost-model
-        router; on algorithms without vectorized paths it degrades to
-        ``"scalar"`` (there is nothing to route).
+        ``engine`` must be one of ``repro.ppr.kernels.ENGINES``.  An
+        algorithm whose only push is the scalar deque (``frontier``
+        not in :attr:`supported_engines`) runs ``"scalar"`` under
+        either name, so the ``frontier`` default suits every
+        algorithm.
         """
-        from repro.ppr.dispatch import AUTO, resolve_engine_choice
-
-        resolve_engine_choice(engine)
-        if engine == AUTO:
-            self.engine = AUTO if len(self.supported_engines) > 1 else "scalar"
-            return
-        if engine not in self.supported_engines:
-            raise ValueError(
-                f"{self.name} does not support engine {engine!r}; "
-                f"supported: {self.supported_engines}"
-            )
-        self.engine = engine
+        resolve_engine(engine)
+        self.engine = engine if engine in self.supported_engines else "scalar"
 
     # -- views -----------------------------------------------------------
     @property
@@ -309,9 +300,9 @@ class DynamicPPRAlgorithm(ABC):
     def query_batch(self, sources: Sequence[int]) -> list[PPRVector]:
         """Answer B same-snapshot queries (one result per source).
 
-        The default loops :meth:`query`; algorithms with a ``batched``
-        engine override this to run all sources through one shared
-        ``(B, n)`` kernel sweep.  Callers must not interleave updates
+        The default loops :meth:`query`; FORA's ``frontier`` engine
+        overrides this to push the sources through shared ``(B, n)``
+        kernel sweeps.  Callers must not interleave updates
         within a batch — the serving runtime flushes updates between
         batches to keep every row on one snapshot.
         """

@@ -33,9 +33,8 @@ from repro.ppr.base import (
     QueryStats,
     clip_unit,
 )
-from repro.ppr.csr import CSRView
 from repro.ppr.forward_push import forward_push
-from repro.ppr.kernels import BatchPushResult, batched_frontier_push
+from repro.ppr.kernels import ENGINES, chunked_batch_push, push_batch_size
 from repro.ppr.pushwalk import add_walk_estimates, add_walk_estimates_batch
 from repro.ppr.random_walk import WalkIndex
 
@@ -53,19 +52,18 @@ class Fora(DynamicPPRAlgorithm):
     name = "FORA"
     is_index_based = False
     hyperparameter_names = ("r_max",)
-    supported_engines = ("scalar", "frontier", "batched")
+    supported_engines = ENGINES
 
     def __init__(
         self,
         graph: DynamicGraph,
         params: PPRParams | None = None,
         r_max: float | None = None,
-        engine: str = "scalar",
+        engine: str = "frontier",
     ) -> None:
         super().__init__(graph, params)
         self.r_max = r_max if r_max is not None else self.default_r_max()
-        if engine != "scalar":
-            self.set_engine(engine)
+        self.set_engine(engine)
 
     def default_r_max(self) -> float:
         """The paper's complexity-balancing default 1/sqrt(alpha m K)."""
@@ -107,95 +105,46 @@ class Fora(DynamicPPRAlgorithm):
     def query_batch(self, sources: Sequence[int]) -> list[PPRVector]:
         """Same-snapshot batch through the batched push kernel.
 
-        ``engine="batched"`` keeps the legacy single ``(B, n)`` sweep;
-        ``engine="auto"`` asks the dispatcher, which splits the batch
-        into locality-sorted cache-resident sub-batches when the whole
-        ``(n, B)`` state would spill (the documented ``n >= 20k``
-        losing cells), or falls back to sequential frontier pushes
-        when batching cannot win.  Every split is bit-for-bit
-        result-invariant: each batched row equals its single-source
-        frontier push.
+        With the ``frontier`` engine the push runs as locality-sorted
+        cache-resident sub-batches sized by
+        :func:`~repro.ppr.kernels.push_batch_size`, or falls back to
+        per-source queries when batching cannot win.  Every split is
+        bit-for-bit result-invariant: each batched row equals its
+        single-source frontier push.
         """
-        if self.engine not in ("batched", "auto") or len(sources) <= 1:
-            return super().query_batch(sources)
         view = self.view
+        alpha = self.params.alpha
+        b_eff = push_batch_size(view.n, len(sources), alpha, self.r_max)
+        if self.engine != "frontier" or b_eff == 1:
+            return super().query_batch(sources)
         source_indices = np.array(
             [view.to_index(s) for s in sources], dtype=np.int64
         )
-        if self.engine == "auto":
-            from repro.ppr.dispatch import get_dispatcher
-
-            decision = get_dispatcher().route_push(
-                view,
-                len(sources),
-                self.r_max,
-                alpha=self.params.alpha,
-                source_indices=source_indices,
-            )
-            if decision.backend != "batched":
-                return super().query_batch(sources)
-            chunks = decision.chunks
-        else:
-            decision = None
-            chunks = None
         stats = QueryStats()
         with self.timers.measure("Forward Push"):
-            if chunks is not None and len(chunks) > 1:
-                push = self._chunked_batch_push(view, source_indices, chunks)
-            else:
-                push = batched_frontier_push(
-                    view, source_indices, self.params.alpha, self.r_max
-                )
+            push = chunked_batch_push(
+                view, source_indices, alpha, self.r_max, b_eff
+            )
             stats.pushes = push.pushes
-        if decision is not None:
-            stats.extra["backend"] = decision.backend
-            stats.extra["effective_batch"] = decision.effective_batch
         with self.timers.measure("Random Walk"):
             walk = add_walk_estimates_batch(
                 view,
                 push.reserve,
                 push.residue,
-                self.params.alpha,
+                alpha,
                 self.params.num_walks(view.n),
                 self._rng,
                 index=self._walk_index(),
             )
             stats.walks = walk.num_walks
         stats.extra["batch_size"] = len(sources)
+        stats.extra["effective_batch"] = b_eff
         stats.extra["sweeps"] = push.sweeps
         self.last_query_stats = stats
         return [
             PPRVector(push.reserve[b], view, source)
             for b, source in enumerate(sources)
         ]
-
-    def _chunked_batch_push(
-        self,
-        view: "CSRView",
-        source_indices: np.ndarray,
-        chunks: Sequence[np.ndarray],
-    ) -> BatchPushResult:
-        """Run the batch as locality-sorted sub-batches.
-
-        ``chunks`` holds positions into ``source_indices`` (from
-        :func:`repro.ppr.dispatch.plan_chunks`); results scatter back
-        to input order.  Bit-for-bit identical to one whole-batch call
-        because every batched row equals its single-source push.
-        """
-        b = int(source_indices.size)
-        reserve = np.zeros((b, view.n), dtype=np.float64)
-        residue = np.zeros((b, view.n), dtype=np.float64)
-        pushes = 0
-        sweeps = 0
-        for chunk in chunks:
-            part = batched_frontier_push(
-                view, source_indices[chunk], self.params.alpha, self.r_max
-            )
-            reserve[chunk] = part.reserve
-            residue[chunk] = part.residue
-            pushes += part.pushes
-            sweeps = max(sweeps, part.sweeps)
-        return BatchPushResult(reserve, residue, pushes, sweeps)
 
     def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
         with self.timers.measure("Graph Update"):
@@ -233,7 +182,7 @@ class ForaPlus(Fora):
         graph: DynamicGraph,
         params: PPRParams | None = None,
         r_max: float | None = None,
-        engine: str = "scalar",
+        engine: str = "frontier",
         index_maintenance: str = "rebuild",
     ) -> None:
         if index_maintenance not in INDEX_MAINTENANCE_MODES:
@@ -324,7 +273,7 @@ class ForaPlusIncremental(ForaPlus):
         graph: DynamicGraph,
         params: PPRParams | None = None,
         r_max: float | None = None,
-        engine: str = "scalar",
+        engine: str = "frontier",
         index_maintenance: str = "incremental",
     ) -> None:
         super().__init__(graph, params, r_max, engine, index_maintenance)

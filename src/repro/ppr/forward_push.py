@@ -75,27 +75,17 @@ def forward_push(
         residue[source] = 1 when omitted.  Passed arrays are mutated in
         place.
     engine:
-        ``"scalar"`` (this module's deque loop, the oracle path),
-        ``"frontier"``/``"batched"`` for the vectorized synchronous
-        kernel of :mod:`repro.ppr.kernels` (single-source, the two
-        names coincide here), or ``"auto"`` to let the
-        :mod:`repro.ppr.dispatch` router pick (single-source routing
-        stays inside the sync-push result class unless the
-        ``REPRO_KERNEL_BACKEND`` override forces ``scalar``).  The
-        scalar and synchronous schedules differ, so their results
-        agree only up to the r_max approximation slack (see kernels
-        module docstring).
+        ``"scalar"`` (this module's deque loop, the oracle path) or
+        ``"frontier"`` for the vectorized synchronous kernel of
+        :mod:`repro.ppr.kernels`.  The two schedules differ, so their
+        results agree only up to the r_max approximation slack (see
+        the kernels module docstring).
 
     Returns
     -------
     PushResult
         Final reserve/residue arrays and push count.
     """
-    if engine == "auto":
-        from repro.ppr.dispatch import get_dispatcher
-
-        decision = get_dispatcher().route_push(view, 1, r_max, alpha=alpha)
-        engine = "scalar" if decision.backend == "scalar" else "frontier"
     if engine != "scalar":
         from repro.ppr import kernels
 

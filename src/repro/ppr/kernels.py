@@ -30,12 +30,15 @@ coalesces same-snapshot queries arriving within a dispatch window.
 Row ``b`` of a batched push is bit-for-bit identical to
 ``frontier_push`` from ``sources[b]``: sweeps in which a row has no
 active node touch none of its entries, so each row's trajectory is its
-single-source trajectory with idle sweeps interleaved.
+single-source trajectory with idle sweeps interleaved.  Any partition
+of a batch into sub-batches is therefore bit-for-bit invariant too,
+which is what lets :func:`push_batch_size` split a batch to keep its
+state cache-resident.
 
 :func:`power_phase` is the same machinery applied to SpeedPPR's
 PowerPush stage: whole-graph Jacobi sweeps straight over the (possibly
-slack) CSR rows, so the frontier engine never pays the packed-matrix
-rebuild that the scipy path needs after every graph delta.
+slack) CSR rows, so no packed transition matrix is ever rebuilt after
+a graph delta.
 """
 
 from __future__ import annotations
@@ -48,10 +51,15 @@ from repro.ppr.csr import CSRView
 from repro.ppr.forward_push import PushResult
 
 #: kernel engines selectable on Push+Walk algorithms and the CLI.
-#: ``scalar`` is the deque-based reference path (the property-test
-#: oracle for algorithm-level behavior), ``frontier`` the vectorized
-#: whole-frontier kernel, ``batched`` the multi-source (B, n) kernel.
-ENGINES = ("scalar", "frontier", "batched")
+#: ``frontier`` (the default) is the vectorized synchronous push, with
+#: same-snapshot batches routed by :func:`push_batch_size`; ``scalar``
+#: is the deque-based Gauss-Seidel push, kept as the explicit oracle
+#: for algorithm-level behavior.
+ENGINES = ("frontier", "scalar")
+
+#: cache budget for a push batch's ``(n, B)`` float64 residue + reserve
+#: state (16 bytes per node per row); see :func:`push_batch_size`
+RESIDENT_BYTES = 1 << 20
 
 
 def resolve_engine(engine: str) -> str:
@@ -262,6 +270,73 @@ def batched_frontier_push(
     )
 
 
+def push_batch_size(n: int, b: int, alpha: float, r_max: float) -> int:
+    """Sub-batch size for ``b`` same-snapshot pushes; 1 = sequential.
+
+    A batch amortizes numpy's fixed per-sweep overhead over its rows,
+    which pays only while the ``(n, B)`` state stays cache-resident:
+    ``cap`` rows fit :data:`RESIDENT_BYTES`.  Where fewer than 8 rows
+    fit (``n > 8192``), per-sweep memory traffic dwarfs that overhead
+    and sequential pushes win at every ``b`` (even ``b = 2`` loses at
+    ``n = 20k``); with fewer than 64 expected pushes
+    (``1 / (alpha * r_max)``) there is nothing to amortize.  Otherwise
+    the batch runs in resident sub-batches of ``min(b, cap)``.
+    """
+    cap = RESIDENT_BYTES // (16 * max(n, 1))
+    if b < 2 or cap < 8 or 1.0 / (alpha * r_max) < 64:
+        return 1
+    return min(b, cap)
+
+
+def plan_chunks(
+    source_indices: np.ndarray, b_eff: int
+) -> tuple[np.ndarray, ...]:
+    """Partition batch positions into locality-sorted sub-batches.
+
+    Sources are ordered by node index before slicing, so each
+    sub-batch touches a (roughly) contiguous slice of the adjacency
+    arrays.  Returns arrays of *positions into the input batch*;
+    results must be scattered back to input order.
+    """
+    b = int(source_indices.size)
+    if b_eff >= b:
+        return (np.arange(b, dtype=np.int64),)
+    order = np.argsort(source_indices, kind="stable").astype(np.int64)
+    return tuple(
+        order[start:start + b_eff] for start in range(0, b, b_eff)
+    )
+
+
+def chunked_batch_push(
+    view: CSRView,
+    source_indices: np.ndarray,
+    alpha: float,
+    r_max: float,
+    b_eff: int,
+) -> BatchPushResult:
+    """:func:`batched_frontier_push` run as :func:`plan_chunks`
+    sub-batches of at most ``b_eff`` rows, results in input order.
+
+    Bit-for-bit the whole-batch result, because every batched row
+    equals its single-source push; ``sweeps`` is the longest chunk's.
+    """
+    src = np.asarray(source_indices, dtype=np.int64)
+    chunks = plan_chunks(src, b_eff)
+    if len(chunks) == 1:
+        return batched_frontier_push(view, src, alpha, r_max)
+    reserve = np.zeros((src.size, view.n), dtype=np.float64)
+    residue = np.zeros((src.size, view.n), dtype=np.float64)
+    pushes = 0
+    sweeps = 0
+    for chunk in chunks:
+        part = batched_frontier_push(view, src[chunk], alpha, r_max)
+        reserve[chunk] = part.reserve
+        residue[chunk] = part.residue
+        pushes += part.pushes
+        sweeps = max(sweeps, part.sweeps)
+    return BatchPushResult(reserve, residue, pushes, sweeps)
+
+
 def reference_frontier_push(
     view: CSRView,
     source_index: int,
@@ -338,9 +413,10 @@ def power_phase(
     Runs whole-graph Jacobi sweeps — ``reserve += alpha * residue;
     residue = (1 - alpha) * P^T residue`` with the repository-wide
     dangling-self-loop convention — until the residue mass drops below
-    ``stop_mass`` or ``max_sweeps`` is hit.  Equivalent to the scipy
-    ``transition_matrix`` path up to summation order, but needs no
-    packed-matrix (re)build on delta-patched views.
+    ``stop_mass`` or ``max_sweeps`` is hit.  Equal to power iteration
+    with :func:`~repro.ppr.power_iteration.transition_matrix` up to
+    summation order, but needs no packed-matrix (re)build on
+    delta-patched views.
 
     Returns ``(reserve, residue, sweeps)``; ``reserve`` is mutated in
     place, ``residue`` is replaced each sweep.

@@ -217,9 +217,10 @@ class ServingRuntime:
         non-query ticket ends collection and is processed right after
         the batch (its FIFO position: it arrived after every query in
         the batch), so updates flush *between* batches and every row
-        of a batch observes one graph version.  Best paired with an
-        algorithm on the ``batched`` kernel engine; with the default
-        looping ``query_batch`` it still amortizes lock traffic.
+        of a batch observes one graph version.  FORA on the default
+        ``frontier`` engine pushes a batch through shared kernel
+        sweeps; a looping ``query_batch`` still amortizes lock
+        traffic.
     batch_window_s:
         How long a collecting worker waits for stragglers once the
         admission queue runs empty (0 = only coalesce what is already

@@ -114,7 +114,7 @@ class ShardManager:
         algorithm: str = "FORA",
         walk_cap: int = 2_000,
         seed: int = 0,
-        engine: str = "scalar",
+        engine: str = "frontier",
         epsilon_r: float = 0.0,
         workers_per_shard: int = 1,
         queue_capacity: int = 1_024,

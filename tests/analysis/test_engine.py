@@ -12,15 +12,12 @@ from repro.analysis import (
     Finding,
     LintConfig,
     Rule,
-    apply_baseline,
     exit_code,
     format_findings,
     known_rule_ids,
-    load_baseline,
     register,
     run_paths,
     run_source,
-    write_baseline,
 )
 from repro.analysis.__main__ import main
 
@@ -179,88 +176,6 @@ class TestSuppressions:
         assert lint(src) == []
 
 
-class TestSarif:
-    def test_sarif_structure(self):
-        log = json.loads(format_findings(lint(R1_SNIPPET), "sarif"))
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert rule_ids == ["R1"]
-        result = run["results"][0]
-        assert result["ruleId"] == "R1"
-        assert result["level"] == "error"
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "fixture.py"
-        assert loc["region"]["startLine"] == 2
-        assert loc["region"]["startColumn"] >= 1  # SARIF is 1-based
-
-    def test_sarif_empty_run(self):
-        log = json.loads(format_findings([], "sarif"))
-        assert log["runs"][0]["results"] == []
-
-    def test_sarif_rule_metadata_carries_rationale(self):
-        log = json.loads(format_findings(lint(R1_SNIPPET), "sarif"))
-        rule = log["runs"][0]["tool"]["driver"]["rules"][0]
-        assert rule["shortDescription"]["text"] == "global-rng"
-        assert rule["fullDescription"]["text"]
-
-
-class TestBaseline:
-    def test_round_trip_suppresses_known_findings(self, tmp_path):
-        findings = lint(R1_SNIPPET)
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, findings)
-        new, suppressed = apply_baseline(
-            findings, load_baseline(baseline_file)
-        )
-        assert new == [] and suppressed == len(findings)
-
-    def test_new_findings_survive_baseline(self, tmp_path):
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, lint(R1_SNIPPET))
-        extended = R1_SNIPPET + "def f(acc=[]):\n    return acc\n"
-        new, suppressed = apply_baseline(
-            lint(extended), load_baseline(baseline_file)
-        )
-        assert suppressed == 1
-        assert [f.rule_id for f in new] == ["R4"]
-
-    def test_line_drift_does_not_invalidate_baseline(self, tmp_path):
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, lint(R1_SNIPPET))
-        shifted = "# a new comment shifts every line\n" + R1_SNIPPET
-        new, suppressed = apply_baseline(
-            lint(shifted), load_baseline(baseline_file)
-        )
-        assert new == [] and suppressed == 1
-
-    def test_multiplicity_is_respected(self, tmp_path):
-        # two identical findings baselined tolerate two, not three
-        f = Finding("R1", "error", "p.py", 1, 0, "same message")
-        g = Finding("R1", "error", "p.py", 9, 0, "same message")
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, [f, g])
-        third = Finding("R1", "error", "p.py", 20, 0, "same message")
-        new, suppressed = apply_baseline(
-            [f, g, third], load_baseline(baseline_file)
-        )
-        assert suppressed == 2
-        assert new == [third]
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError, match="baseline"):
-            load_baseline(bad)
-        missing_key = tmp_path / "missing.json"
-        missing_key.write_text("{}", encoding="utf-8")
-        with pytest.raises(ValueError, match="findings"):
-            load_baseline(missing_key)
-        with pytest.raises(ValueError):
-            load_baseline(tmp_path / "absent.json")
-
-
 class TestParallelJobs:
     def _tree(self, tmp_path):
         (tmp_path / "a.py").write_text(R1_SNIPPET)
@@ -372,42 +287,6 @@ class TestCli:
         for n in range(1, 12):
             assert f"R{n}" in out
         assert "per-file" in out and "project" in out
-
-    def test_sarif_output(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(R1_SNIPPET)
-        assert main(["--format", "sarif", str(tmp_path)]) == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        assert log["runs"][0]["results"][0]["ruleId"] == "R1"
-
-    def test_write_baseline_then_lint_against_it(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(R1_SNIPPET)
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            ["--write-baseline", str(baseline), str(tmp_path / "bad.py")]
-        ) == 0
-        assert baseline.exists()
-        capsys.readouterr()  # drop the write-baseline notice
-        # baselined finding no longer fails the run...
-        assert main(
-            ["--baseline", str(baseline), str(tmp_path / "bad.py")]
-        ) == 0
-        assert "baselined" in capsys.readouterr().err
-        # ...but a fresh violation still does
-        (tmp_path / "bad.py").write_text(
-            R1_SNIPPET + "def f(acc=[]):\n    return acc\n"
-        )
-        assert main(
-            ["--baseline", str(baseline), str(tmp_path / "bad.py")]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "R4" in out and "R1" not in out.replace("R1_", "")
-
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["--baseline", str(bad), str(tmp_path)]) == 2
 
     def test_jobs_flag(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(R1_SNIPPET)

@@ -158,8 +158,11 @@ class TestBatchDispatch:
     def test_batched_engine_end_to_end(self):
         """Fora's batched kernel serves coalesced queries; every
         answer conserves probability mass."""
+        # r_max low enough for the residency rule to batch (>= 64
+        # expected pushes); the default r_max serves this graph per source
         algorithm = Fora(
-            make_graph(), PPRParams(walk_cap=100), engine="batched"
+            make_graph(), PPRParams(walk_cap=100), r_max=1e-3,
+            engine="frontier",
         )
         records = []
         runtime = make_runtime(
@@ -227,10 +230,13 @@ class TestBatchDispatch:
         from repro.ppr import ppr_exact
 
         graph = make_graph()
-        algorithm = Fora(graph, PPRParams(walk_cap=4000), engine="batched")
+        algorithm = Fora(
+            graph, PPRParams(walk_cap=4000), r_max=1e-3, engine="frontier"
+        )
         algorithm.seed(0)
         sources = [0, 1, 2, 3]
         results = algorithm.query_batch(sources)
+        assert algorithm.last_query_stats.extra["effective_batch"] == 4
         for source, got in zip(sources, results):
             exact = ppr_exact(graph, source, alpha=algorithm.params.alpha)
             errors = [

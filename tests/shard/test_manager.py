@@ -9,9 +9,10 @@ import time
 
 import pytest
 
+from repro.evaluation.runner import build_algorithm
 from repro.graph import DynamicGraph
 from repro.obs import MetricsRegistry
-from repro.shard import ShardManager
+from repro.shard import ShardManager, ShardSpec
 from repro.shard.manager import RETRY_AFTER_UNHEALTHY_S
 
 
@@ -178,6 +179,18 @@ def test_metrics_snapshot_exports_process_counters():
         assert before is not None
         manager.update(0, 7)
         assert wait_until(lambda: delta_applies() > before)
+
+
+def test_engine_default_is_frontier_everywhere():
+    """Every layer that builds an algorithm defaults to the vectorized
+    push; the fleet used to run the scalar deque push unasked."""
+    graph = ring_graph()
+    assert build_algorithm("FORA", graph.copy(), 64).engine == "frontier"
+    assert ShardSpec(0, 1, 24, ()).engine == "frontier"
+    with make_manager(num_shards=1, query_mode="algorithm") as manager:
+        server = manager.shard_handle(0).server
+        assert server.spec.engine == "frontier"
+        assert server.runtime.algorithm.engine == "frontier"
 
 
 def test_stop_is_terminal():

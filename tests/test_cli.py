@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.ppr.dispatch import ENGINE_CHOICES
 from repro.ppr.kernels import ENGINES
 
 
@@ -26,9 +25,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["configure"])
 
-    def test_engine_default_is_auto(self):
-        """The dispatcher routes by default; static engines override."""
-        assert build_parser().parse_args(["run"]).engine == "auto"
+    def test_engine_default_is_frontier(self):
+        """The vectorized kernels by default; scalar is the oracle."""
+        assert build_parser().parse_args(["run"]).engine == "frontier"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SystemExit):
@@ -49,12 +48,11 @@ class TestEngineGuard:
         engine_action = next(
             a for a in run_parser._actions if a.dest == "engine"
         )
-        assert tuple(engine_action.choices) == ENGINE_CHOICES
-        assert ENGINE_CHOICES == ("auto",) + ENGINES
+        assert tuple(engine_action.choices) == ENGINES
 
     def test_scalar_is_registered_first(self):
-        """The oracle engine must exist and be the default."""
-        assert ENGINES[0] == "scalar"
+        """The oracle engine must exist next to the frontier default."""
+        assert ENGINES == ("frontier", "scalar")
 
     def test_oracle_path_importable(self):
         from repro.ppr.forward_push import forward_push
